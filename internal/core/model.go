@@ -259,12 +259,15 @@ func (m *Model) Forward(ctx *nn.Ctx, h *mat.Dense) *mat.Dense {
 }
 
 // Backward propagates dLogits through head and layers, accumulating
-// parameter gradients.
+// parameter gradients. The first layer computes its parameter
+// gradients only: the gradient w.r.t. the input features has no
+// consumer.
 func (m *Model) Backward(ctx *nn.Ctx, dLogits *mat.Dense) {
 	d := m.Head.Backward(ctx, dLogits)
-	for i := len(m.Layers) - 1; i >= 0; i-- {
+	for i := len(m.Layers) - 1; i > 0; i-- {
 		d = m.Layers[i].Backward(ctx, d)
 	}
+	m.Layers[0].BackwardParams(ctx, d)
 }
 
 // ZeroGrad clears all parameter gradients.

@@ -1,19 +1,29 @@
 // Package mat implements the dense linear-algebra substrate for GCN
-// training: row-major float64 matrices with parallel, cache-blocked
-// matrix multiplication and the elementwise kernels used by forward
-// and backward propagation.
+// training: row-major float64 matrices with parallel matrix
+// multiplication and the elementwise kernels used by forward and
+// backward propagation.
 //
 // It plays the role of Intel MKL in the paper's C++ implementation
 // (the weight-application step, Section V-A, is a dense GEMM). The
 // multiplication kernels use the i-k-j loop order so the innermost
-// loop streams contiguous rows of both the source and destination,
-// which the Go compiler turns into reasonably tight code, and they
-// parallelize across row blocks via perf.Parallel.
+// loop streams contiguous rows of both the source and destination, and
+// they parallelize across row blocks via perf.Parallel.
+//
+// Every GEMM and propagation inner loop is one of a few kernels —
+// axpy (dst += α·src), dot, and the neighbor-row sums AddRows and
+// AxpyRows — which run as AVX2 assembly on amd64 CPUs that have it,
+// chosen once at package init from CPUID and XGETBV, and as Go loops
+// everywhere else. The assembly never uses a fused multiply-add, which
+// rounds once where the Go code rounds twice, so both paths give
+// bit-identical results (see kernels.go). The race detector does not
+// see memory accesses made inside assembly, so all sharding across
+// goroutines stays in Go, where it does.
 package mat
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"gsgcn/internal/perf"
 )
@@ -110,31 +120,46 @@ func (m *Dense) CopyFrom(src *Dense) {
 }
 
 // Equal reports whether m and n have identical shape and elements
-// within tolerance tol.
+// within tolerance tol. A NaN on either side matches only the same
+// bits, at any tolerance.
 func (m *Dense) Equal(n *Dense, tol float64) bool {
 	if m.Rows != n.Rows || m.Cols != n.Cols {
 		return false
 	}
 	for i, v := range m.Data {
-		if math.Abs(v-n.Data[i]) > tol {
+		if !(absDiff(v, n.Data[i]) <= tol) {
 			return false
 		}
 	}
 	return true
 }
 
-// MaxAbsDiff returns the largest elementwise absolute difference.
+// MaxAbsDiff returns the largest elementwise absolute difference; it
+// is +Inf when a NaN on either side meets different bits.
 func (m *Dense) MaxAbsDiff(n *Dense) float64 {
 	if m.Rows != n.Rows || m.Cols != n.Cols {
 		return math.Inf(1)
 	}
 	max := 0.0
 	for i, v := range m.Data {
-		if d := math.Abs(v - n.Data[i]); d > max {
+		d := absDiff(v, n.Data[i])
+		if math.IsNaN(d) {
+			return math.Inf(1)
+		}
+		if d > max {
 			max = d
 		}
 	}
 	return max
+}
+
+// absDiff is |v-w|, 0 for equal bits (so equal infinities and equal
+// NaNs match), and NaN when a NaN meets different bits.
+func absDiff(v, w float64) float64 {
+	if math.Float64bits(v) == math.Float64bits(w) {
+		return 0
+	}
+	return math.Abs(v - w)
 }
 
 // Mul computes dst = a * b using workers goroutines. dst must be
@@ -165,6 +190,11 @@ func MulBTRange(dst, a, b *Dense, lo, hi int) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("mat: MulBTRange shape mismatch")
 	}
+	mulBTRange(dst, a, b, lo, hi)
+}
+
+// mulBTRange computes rows [lo, hi) of dst = a * bᵀ serially.
+func mulBTRange(dst, a, b *Dense, lo, hi int) {
 	k := a.Cols
 	for i := lo; i < hi; i++ {
 		arow := a.Data[i*k : (i+1)*k]
@@ -234,14 +264,16 @@ func MulAT(dst, a, b *Dense, workers int) {
 	// at workers == 1, where perf.Parallel degrades to a serial loop —
 	// so that every worker count performs the exact same additions in
 	// the exact same grouping.
-	partials := make([][]float64, shards)
+	size := k * n
+	slab := takeSlab(shards * size)
+	defer putSlab(slab)
 	perf.Parallel(shards, workers, func(_, slo, shi int) {
 		for s := slo; s < shi; s++ {
 			lo := s * a.Rows / shards
 			hi := (s + 1) * a.Rows / shards
-			p := make([]float64, k*n)
+			p := slab[s*size : (s+1)*size]
+			clear(p)
 			accumATRange(p, a, b, lo, hi)
-			partials[s] = p
 		}
 	})
 	// Reduce in fixed shard order; each output element is owned by
@@ -249,12 +281,47 @@ func MulAT(dst, a, b *Dense, workers int) {
 	perf.ParallelMin(len(dst.Data), elemGrain, workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v := 0.0
-			for _, p := range partials {
-				v += p[i]
+			for s := 0; s < shards; s++ {
+				v += slab[s*size+i]
 			}
 			dst.Data[i] = v
 		}
 	})
+}
+
+// atSlab keeps the largest MulAT partial-buffer slab between calls, so
+// a training step does not allocate (and the GC does not reclaim) its
+// shard partials again on every backward GEMM. It holds one slab, not a
+// sync.Pool's one per P plus a victim generation: on reddit-json the
+// pool kept ~10% more training RSS. Concurrent callers that find it
+// taken allocate their own; a slab is bounded by mulATShards' partial
+// budget. Results never depend on it.
+var atSlab struct {
+	sync.Mutex
+	buf []float64
+}
+
+// takeSlab returns a buffer of length n, reusing the kept slab when it
+// is large enough. Contents are unspecified.
+func takeSlab(n int) []float64 {
+	atSlab.Lock()
+	buf := atSlab.buf
+	atSlab.buf = nil
+	atSlab.Unlock()
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// putSlab hands buf back for reuse, keeping the larger of it and any
+// slab returned meanwhile.
+func putSlab(buf []float64) {
+	atSlab.Lock()
+	if cap(buf) > cap(atSlab.buf) {
+		atSlab.buf = buf
+	}
+	atSlab.Unlock()
 }
 
 // mulATShards returns the fixed shard count for a MulAT of the given
@@ -307,51 +374,9 @@ func MulBT(dst, a, b *Dense, workers int) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("mat: MulBT shape mismatch")
 	}
-	k := a.Cols
 	perf.Parallel(a.Rows, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-			for j := 0; j < b.Rows; j++ {
-				brow := b.Data[j*k : (j+1)*k]
-				drow[j] = dot(arow, brow)
-			}
-		}
+		mulBTRange(dst, a, b, lo, hi)
 	})
-}
-
-// axpy computes dst += alpha * src elementwise. The 4-way unroll gives
-// the compiler independent chains to schedule.
-func axpy(dst, src []float64, alpha float64) {
-	n := len(dst)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		dst[i] += alpha * src[i]
-		dst[i+1] += alpha * src[i+1]
-		dst[i+2] += alpha * src[i+2]
-		dst[i+3] += alpha * src[i+3]
-	}
-	for ; i < n; i++ {
-		dst[i] += alpha * src[i]
-	}
-}
-
-// dot returns the inner product of x and y.
-func dot(x, y []float64) float64 {
-	var s0, s1, s2, s3 float64
-	n := len(x)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += x[i] * y[i]
-		s1 += x[i+1] * y[i+1]
-		s2 += x[i+2] * y[i+2]
-		s3 += x[i+3] * y[i+3]
-	}
-	s := s0 + s1 + s2 + s3
-	for ; i < n; i++ {
-		s += x[i] * y[i]
-	}
-	return s
 }
 
 // Axpy exposes dst += alpha*src for other packages.

@@ -255,6 +255,39 @@ func TestMulLinearityQuick(t *testing.T) {
 	}
 }
 
+// TestEqualSeesNaN: a NaN matches only the same bits, so an exactness
+// check cannot pass a kernel that produces NaNs.
+func TestEqualSeesNaN(t *testing.T) {
+	nan := New(2, 2)
+	nan.Fill(math.NaN())
+	zero := New(2, 2)
+	if nan.Equal(zero, 0) || zero.Equal(nan, 0) || nan.Equal(zero, math.Inf(1)) {
+		t.Error("all-NaN matrix equals zeros")
+	}
+	if d := nan.MaxAbsDiff(zero); !math.IsInf(d, 1) {
+		t.Errorf("MaxAbsDiff(NaN, 0) = %v, want +Inf", d)
+	}
+	if !nan.Equal(nan.Clone(), 0) || nan.MaxAbsDiff(nan.Clone()) != 0 {
+		t.Error("NaN with identical bits must match")
+	}
+	other := New(2, 2)
+	other.Fill(math.Float64frombits(0x7ff8000000000123))
+	if nan.Equal(other, 0) {
+		t.Error("NaNs with different bits must not match")
+	}
+	inf := FromData(1, 2, []float64{math.Inf(1), math.Inf(-1)})
+	if !inf.Equal(inf.Clone(), 0) || inf.MaxAbsDiff(inf.Clone()) != 0 {
+		t.Error("equal infinities must match")
+	}
+	if inf.Equal(FromData(1, 2, []float64{math.Inf(-1), math.Inf(-1)}), 1) {
+		t.Error("opposite infinities must not match")
+	}
+	// Signed zeros stay within tolerance 0 of each other, as before.
+	if !FromData(1, 1, []float64{0}).Equal(FromData(1, 1, []float64{math.Copysign(0, -1)}), 0) {
+		t.Error("0 and -0 differ by 0")
+	}
+}
+
 func TestFrobeniusAndSum(t *testing.T) {
 	a := FromData(2, 2, []float64{3, 4, 0, 0})
 	if got := a.FrobeniusNorm(); math.Abs(got-5) > 1e-12 {

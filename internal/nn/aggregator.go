@@ -87,17 +87,7 @@ func symPropagate(dst, src *mat.Dense, g *graph.CSR, q, workers int) {
 			for j := range drow {
 				drow[j] = 0
 			}
-			nb := g.Neighbors(int32(v))
-			if len(nb) == 0 {
-				continue
-			}
-			for _, u := range nb {
-				w := invSqrt[v] * invSqrt[u]
-				srow := src.Data[int(u)*f+lo : int(u)*f+hi]
-				for j, x := range srow {
-					drow[j] += w * x
-				}
-			}
+			mat.AxpyRows(drow, src.Data[lo:], g.Neighbors(int32(v)), f, invSqrt[v], invSqrt)
 		}
 	})
 }
@@ -117,12 +107,7 @@ func sumPropagate(dst, src *mat.Dense, g *graph.CSR, q, workers int) {
 			for j := range drow {
 				drow[j] = 0
 			}
-			for _, u := range g.Neighbors(int32(v)) {
-				srow := src.Data[int(u)*f+lo : int(u)*f+hi]
-				for j, x := range srow {
-					drow[j] += x
-				}
-			}
+			mat.AddRows(drow, src.Data[lo:], g.Neighbors(int32(v)), f)
 		}
 	})
 }

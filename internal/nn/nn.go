@@ -205,6 +205,16 @@ func (l *GCNLayer) Forward(ctx *Ctx, h *mat.Dense) *mat.Dense {
 // accumulates parameter gradients, and returns the gradient w.r.t.
 // the layer input.
 func (l *GCNLayer) Backward(ctx *Ctx, dOut *mat.Dense) *mat.Dense {
+	l.BackwardParams(ctx, dOut)
+	return l.inputGrad(ctx)
+}
+
+// BackwardParams is Backward without the input gradient: it
+// accumulates the same parameter gradients and returns nothing. The
+// first layer of a model uses it, because the gradient w.r.t. the raw
+// input features is never consumed — skipping it saves two
+// n×OutDim·OutDim×InDim GEMMs and a transpose propagation per step.
+func (l *GCNLayer) BackwardParams(ctx *Ctx, dOut *mat.Dense) {
 	if l.lastZ == nil {
 		panic("nn: Backward called before Forward")
 	}
@@ -239,9 +249,15 @@ func (l *GCNLayer) Backward(ctx *Ctx, dOut *mat.Dense) *mat.Dense {
 		mat.MulAT(dw, l.lastHNeigh, dZNeigh, ctx.Workers)
 		mat.AddScaled(l.WNeigh.Grad, dw, 1)
 	})
+}
 
-	// dH = dZ_self·W_selfᵀ + MeanAggᵀ(dZ_neigh·W_neighᵀ). dH is
-	// returned to the caller, so it stays freshly allocated.
+// inputGrad returns dH = dZ_self·W_selfᵀ + MeanAggᵀ(dZ_neigh·W_neighᵀ)
+// from the dZ halves the last BackwardParams left in bufDZSelf and
+// bufDZNeigh, masked by the forward dropout. dH is returned to the
+// caller, so it stays freshly allocated.
+func (l *GCNLayer) inputGrad(ctx *Ctx) *mat.Dense {
+	dZSelf, dZNeigh := l.bufDZSelf, l.bufDZNeigh
+	n := dZSelf.Rows
 	dH := mat.New(n, l.InDim)
 	dHNeigh := mat.Reuse(l.bufDHNeigh, n, l.InDim)
 	l.bufDHNeigh = dHNeigh

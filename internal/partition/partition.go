@@ -36,38 +36,7 @@ const (
 // dst outside the column range are left untouched. This is the unit
 // of work one processor performs on one feature partition H^(i,j).
 func PropagateRange(dst, src *mat.Dense, g *graph.CSR, norm Norm, colLo, colHi int) {
-	f := src.Cols
-	for v := 0; v < g.N; v++ {
-		drow := dst.Data[v*f+colLo : v*f+colHi]
-		for j := range drow {
-			drow[j] = 0
-		}
-		nb := g.Neighbors(int32(v))
-		if len(nb) == 0 {
-			continue
-		}
-		switch norm {
-		case NormDst:
-			for _, u := range nb {
-				srow := src.Data[int(u)*f+colLo : int(u)*f+colHi]
-				for j, x := range srow {
-					drow[j] += x
-				}
-			}
-			inv := 1 / float64(len(nb))
-			for j := range drow {
-				drow[j] *= inv
-			}
-		case NormSrc:
-			for _, u := range nb {
-				inv := 1 / float64(g.Degree(u))
-				srow := src.Data[int(u)*f+colLo : int(u)*f+colHi]
-				for j, x := range srow {
-					drow[j] += inv * x
-				}
-			}
-		}
-	}
+	propagateBlock(dst, src, g, norm, invDegrees(g, norm), 0, g.N, colLo, colHi)
 }
 
 // Propagate runs the full feature propagation with feature-dimension
@@ -85,12 +54,13 @@ func Propagate(dst, src *mat.Dense, g *graph.CSR, norm Norm, q, workers int) {
 	if q > f {
 		q = f
 	}
+	invDeg := invDegrees(g, norm)
 	perf.Parallel(q, workers, func(_, qlo, qhi int) {
 		for i := qlo; i < qhi; i++ {
 			lo := i * f / q
 			hi := (i + 1) * f / q
 			if lo < hi {
-				PropagateRange(dst, src, g, norm, lo, hi)
+				propagateBlock(dst, src, g, norm, invDeg, 0, g.N, lo, hi)
 			}
 		}
 	})
@@ -111,12 +81,13 @@ func SimPropagate(dst, src *mat.Dense, g *graph.CSR, norm Norm, q, p int, cfg pe
 	if p > q {
 		p = q
 	}
+	invDeg := invDegrees(g, norm)
 	return perf.SimRange(q, p, cfg, func(qlo, qhi int) {
 		for i := qlo; i < qhi; i++ {
 			lo := i * f / q
 			hi := (i + 1) * f / q
 			if lo < hi {
-				PropagateRange(dst, src, g, norm, lo, hi)
+				propagateBlock(dst, src, g, norm, invDeg, 0, g.N, lo, hi)
 			}
 		}
 	})
@@ -145,6 +116,7 @@ func Propagate2D(dst, src *mat.Dense, g *graph.CSR, norm Norm, pv, q, workers in
 		pv = g.N
 	}
 	blocks := pv * q
+	invDeg := invDegrees(g, norm)
 	perf.Parallel(blocks, workers, func(_, blo, bhi int) {
 		for b := blo; b < bhi; b++ {
 			vi, qi := b/q, b%q
@@ -155,14 +127,17 @@ func Propagate2D(dst, src *mat.Dense, g *graph.CSR, norm Norm, pv, q, workers in
 			if vlo >= vhi || clo >= chi {
 				continue
 			}
-			propagateBlock(dst, src, g, norm, vlo, vhi, clo, chi)
+			propagateBlock(dst, src, g, norm, invDeg, vlo, vhi, clo, chi)
 		}
 	})
 }
 
 // propagateBlock aggregates the column range for vertices [vlo, vhi).
-func propagateBlock(dst, src *mat.Dense, g *graph.CSR, norm Norm, vlo, vhi, colLo, colHi int) {
+// Neighbors accumulate in adjacency order; the mean multiplies by
+// 1/deg after summation, the transpose weighs neighbor u by invDeg[u].
+func propagateBlock(dst, src *mat.Dense, g *graph.CSR, norm Norm, invDeg []float64, vlo, vhi, colLo, colHi int) {
 	f := src.Cols
+	cols := src.Data[colLo:] // row u's chunk starts at u*f
 	for v := vlo; v < vhi; v++ {
 		drow := dst.Data[v*f+colLo : v*f+colHi]
 		for j := range drow {
@@ -174,24 +149,29 @@ func propagateBlock(dst, src *mat.Dense, g *graph.CSR, norm Norm, vlo, vhi, colL
 		}
 		switch norm {
 		case NormDst:
-			for _, u := range nb {
-				srow := src.Data[int(u)*f+colLo : int(u)*f+colHi]
-				for j, x := range srow {
-					drow[j] += x
-				}
-			}
+			mat.AddRows(drow, cols, nb, f)
 			inv := 1 / float64(len(nb))
 			for j := range drow {
 				drow[j] *= inv
 			}
 		case NormSrc:
-			for _, u := range nb {
-				inv := 1 / float64(g.Degree(u))
-				srow := src.Data[int(u)*f+colLo : int(u)*f+colHi]
-				for j, x := range srow {
-					drow[j] += inv * x
-				}
-			}
+			mat.AxpyRows(drow, cols, nb, f, 1, invDeg)
 		}
 	}
+}
+
+// invDegrees returns 1/deg(u) for every vertex when norm is NormSrc
+// (0 for isolated vertices, which are nobody's neighbor), nil
+// otherwise.
+func invDegrees(g *graph.CSR, norm Norm) []float64 {
+	if norm != NormSrc {
+		return nil
+	}
+	inv := make([]float64, g.N)
+	for u := range inv {
+		if d := g.Degree(int32(u)); d > 0 {
+			inv[u] = 1 / float64(d)
+		}
+	}
+	return inv
 }

@@ -797,7 +797,6 @@ func layerForwardBlocks(l *nn.GCNLayer, g *graph.CSR, cur, next *mat.Dense, work
 // element-for-element: neighbors accumulate in adjacency order and
 // the mean multiplies by 1/deg after summation.
 func aggregateRowRange(dst, src *mat.Dense, g *graph.CSR, agg nn.Aggregator, invSqrt []float64, lo, hi int) {
-	f := src.Cols
 	for v := lo; v < hi; v++ {
 		drow := dst.Row(v - lo)
 		for j := range drow {
@@ -809,31 +808,15 @@ func aggregateRowRange(dst, src *mat.Dense, g *graph.CSR, agg nn.Aggregator, inv
 		}
 		switch agg {
 		case nn.AggMean:
-			for _, u := range nb {
-				srow := src.Data[int(u)*f : (int(u)+1)*f]
-				for j, x := range srow {
-					drow[j] += x
-				}
-			}
+			mat.AddRows(drow, src.Data, nb, src.Cols)
 			inv := 1 / float64(len(nb))
 			for j := range drow {
 				drow[j] *= inv
 			}
 		case nn.AggSym:
-			for _, u := range nb {
-				w := invSqrt[v] * invSqrt[u]
-				srow := src.Data[int(u)*f : (int(u)+1)*f]
-				for j, x := range srow {
-					drow[j] += w * x
-				}
-			}
+			mat.AxpyRows(drow, src.Data, nb, src.Cols, invSqrt[v], invSqrt)
 		case nn.AggSum:
-			for _, u := range nb {
-				srow := src.Data[int(u)*f : (int(u)+1)*f]
-				for j, x := range srow {
-					drow[j] += x
-				}
-			}
+			mat.AddRows(drow, src.Data, nb, src.Cols)
 		}
 	}
 }
