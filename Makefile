@@ -19,9 +19,9 @@ COVER_FLOOR ?= 84.5
 # CI hosts are noisy; the gate is for order-of-magnitude regressions.
 BENCH_TOL ?= 3.0
 
-.PHONY: ci lint vet build test race cover bench serve-smoke
+.PHONY: ci lint vet build test race cover fuzz bench serve-smoke
 
-ci: lint build race cover bench serve-smoke
+ci: lint build race cover fuzz bench serve-smoke
 
 # lint subsumes vet: formatting drift fails the gate, every package
 # must carry a godoc package comment (scripts/pkgdoc-lint), and
@@ -74,14 +74,23 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' \
 		|| { echo "cover: total $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
 
+# Ten seconds each of the internal/mat fuzzers: FuzzKernels holds the
+# AVX2 inner loops and FuzzGEMM the register-tile GEMMs bit-identical
+# to the Go loops on fuzzed shapes and special values (±0, subnormals,
+# Inf, NaN). Both skip on CPUs without AVX2.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime 10s ./internal/mat
+	$(GO) test -run '^$$' -fuzz '^FuzzGEMM$$' -fuzztime 10s ./internal/mat
+
 # One iteration per benchmark: ns/op for the training epoch
 # (serial-vs-parallel engine speedup), serving throughput, ANN-vs-exact
 # top-K and warm-vs-cold start, printed in CI logs AND written as
-# machine-readable BENCH_train.json / BENCH_serve.json so the perf
-# trajectory is tracked across PRs.
+# machine-readable BENCH_train.json / BENCH_serve.json / BENCH_ann.json
+# so the perf trajectory is tracked — and gated by benchdiff — across
+# PRs.
 bench:
 	GO="$(GO)" bash scripts/bench-json.sh
-	$(GO) run ./scripts/benchdiff -max-ratio $(BENCH_TOL) BENCH_train.json BENCH_serve.json
+	$(GO) run ./scripts/benchdiff -max-ratio $(BENCH_TOL) BENCH_train.json BENCH_serve.json BENCH_ann.json
 
 # End-to-end serving smoke: generate a dataset, train briefly, save a
 # checkpoint, launch gsgcn-serve and assert /embed, /predict and /topk

@@ -433,7 +433,7 @@ func main() {
 		go servePprof(*pprofAt)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: reg}
+	httpSrv := newHTTPServer(*addr, reg, readHeaderTimeout, idleTimeout)
 
 	// The wire listener rides the same registry: frames run through
 	// the same admission, deadline and batching as HTTP requests.
@@ -464,6 +464,23 @@ func main() {
 	// while in-flight requests are still draining. Wait for the signal
 	// handler to finish the drain and close the registry before exiting.
 	<-done
+}
+
+// Connection timeouts of the HTTP server: a client has
+// readHeaderTimeout to send its request headers and may idle
+// idleTimeout between keep-alive requests. One that trickles slower is
+// disconnected, so it cannot hold a connection and its goroutine open
+// indefinitely. There is no write timeout, because /reload runs as
+// long as loading a checkpoint takes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the HTTP server for h on addr with the given
+// header and idle timeouts.
+func newHTTPServer(addr string, h http.Handler, header, idle time.Duration) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: header, IdleTimeout: idle}
 }
 
 // handleSignals is the process lifecycle loop: SIGHUP hot-reloads the

@@ -45,3 +45,13 @@ func addRowsAVX2(dst, src []float64, idx []int32, stride int)
 //
 //go:noescape
 func axpyRowsAVX2(dst, src []float64, idx []int32, stride int, scale float64, w []float64)
+
+// gemmTileAVX2 is the register tile of Mul and MulAT; see gemmTile.
+//
+//go:noescape
+func gemmTileAVX2(dst []float64, ldd int, a []float64, lda, sa int, b []float64, ldt, k, rows, cols int, add bool)
+
+// dotTileAVX2 is the multi-dot of MulBT; see dotTile.
+//
+//go:noescape
+func dotTileAVX2(dst []float64, ldd int, a []float64, lda int, b []float64, ldb, n, cols int)

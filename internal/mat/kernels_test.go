@@ -204,7 +204,10 @@ func TestKernelsRejectShortInputs(t *testing.T) {
 
 // gemmShapes are the weight-application shapes of the benchmark
 // workloads: (rows, k, n) for dst(rows x n) = a(rows x k) * b(k x n),
-// i.e. subgraph vertices x layer input width x hidden width.
+// i.e. subgraph vertices x layer input width x hidden width. The head
+// and predict shapes have n%8 != 0 (reddit's 41 classes), the predict
+// batches have fewer rows than one tile, and the ragged shape has
+// m%4, n%8 and k%4 (MulAT's output rows) all nonzero.
 var gemmShapes = []struct {
 	name    string
 	m, k, n int
@@ -212,16 +215,37 @@ var gemmShapes = []struct {
 	{"reddit-l1", 1176, 602, 128},
 	{"reddit-l2", 1176, 256, 128},
 	{"amazon-l1", 3697, 200, 32},
+	{"reddit-head", 1176, 256, 41},
+	{"predict-1", 1, 256, 41},
+	{"predict-5", 5, 256, 41},
+	{"predict-8", 8, 256, 41},
+	{"ragged", 1173, 602, 45},
 }
+
+// finiteSpecials are the specials that are neither Inf nor NaN.
+var finiteSpecials = func() []float64 {
+	var out []float64
+	for _, v := range specials {
+		if !math.IsInf(v, 0) && !math.IsNaN(v) {
+			out = append(out, v)
+		}
+	}
+	return out
+}()
 
 // sparseMat fills a rows x cols matrix with normals, a third of them
 // zero (the kernels' zero skips must fire) and a sprinkle of specials.
 func sparseMat(r *rng.RNG, rows, cols int) *Dense {
+	return mixMat(r, rows, cols, specials)
+}
+
+// mixMat is sparseMat drawing its specials from pool.
+func mixMat(r *rng.RNG, rows, cols int, pool []float64) *Dense {
 	m := New(rows, cols)
 	for i := range m.Data {
 		switch k := r.Intn(64); {
 		case k == 0:
-			m.Data[i] = specials[r.Intn(len(specials))]
+			m.Data[i] = pool[r.Intn(len(pool))]
 		case k < 22:
 			m.Data[i] = 0
 		default:
@@ -238,6 +262,36 @@ func requireSameBits(t *testing.T, tag string, got, want *Dense) {
 	}
 }
 
+// checkGEMMs runs Mul (a·b), MulAT (aᵀ·g) and MulBT (g·wtᵀ) through
+// the AVX2 path at Workers 1 and 3 and requires the bits of the Go
+// path at Workers 1.
+func checkGEMMs(t *testing.T, tag string, a, b, g, wt *Dense) {
+	t.Helper()
+	m, k, n := a.Rows, a.Cols, b.Cols
+	run := func(on bool, workers int) (mul, mulAT, mulBT *Dense) {
+		mul, mulAT, mulBT = New(m, n), New(k, n), New(m, k)
+		withDispatch(on, func() {
+			Mul(mul, a, b, workers)
+			MulAT(mulAT, a, g, workers)
+			MulBT(mulBT, g, wt, workers)
+		})
+		return mul, mulAT, mulBT
+	}
+	wantMul, wantAT, wantBT := run(false, 1)
+	for _, workers := range []int{1, 3} {
+		mul, mulAT, mulBT := run(true, workers)
+		tag := fmt.Sprintf("%s workers=%d", tag, workers)
+		requireSameBits(t, tag+" Mul", mul, wantMul)
+		requireSameBits(t, tag+" MulAT", mulAT, wantAT)
+		requireSameBits(t, tag+" MulBT", mulBT, wantBT)
+	}
+}
+
+// TestGEMMBitIdenticalAcrossDispatch runs every shape twice: with
+// specials in all operands, where Inf or NaN in b and g sends Mul and
+// MulAT to their row-wise loops, and with only finite specials in b
+// and g, where they run as register tiles (Mul from minTileRows rows
+// on).
 func TestGEMMBitIdenticalAcrossDispatch(t *testing.T) {
 	requireAVX2(t)
 	for _, s := range gemmShapes {
@@ -246,24 +300,40 @@ func TestGEMMBitIdenticalAcrossDispatch(t *testing.T) {
 		b := sparseMat(r, s.k, s.n)
 		g := sparseMat(r, s.m, s.n)  // dY for MulAT
 		wt := sparseMat(r, s.k, s.n) // W for MulBT: dH = dY * Wᵀ
-		run := func(on bool, workers int) (mul, mulAT, mulBT *Dense) {
-			mul, mulAT, mulBT = New(s.m, s.n), New(s.k, s.n), New(s.m, s.k)
-			withDispatch(on, func() {
-				Mul(mul, a, b, workers)
-				MulAT(mulAT, a, g, workers)
-				MulBT(mulBT, g, wt, workers)
-			})
-			return mul, mulAT, mulBT
-		}
-		wantMul, wantAT, wantBT := run(false, 1)
-		for _, workers := range []int{1, 3} {
-			mul, mulAT, mulBT := run(true, workers)
-			tag := fmt.Sprintf("%s workers=%d", s.name, workers)
-			requireSameBits(t, tag+" Mul", mul, wantMul)
-			requireSameBits(t, tag+" MulAT", mulAT, wantAT)
-			requireSameBits(t, tag+" MulBT", mulBT, wantBT)
-		}
+		checkGEMMs(t, s.name, a, b, g, wt)
+
+		b, g = mixMat(r, s.k, s.n, finiteSpecials), mixMat(r, s.m, s.n, finiteSpecials)
+		withDispatch(true, func() {
+			if !tileable(b.Data) || !tileable(g.Data) {
+				t.Fatalf("%s: finite operands not tileable", s.name)
+			}
+		})
+		checkGEMMs(t, s.name+" finite", a, b, g, wt)
 	}
+}
+
+// TestTileableSeesNonFinite: one Inf or NaN anywhere in the streamed
+// operand sends the GEMM to its row-wise loop; finite specials do not.
+func TestTileableSeesNonFinite(t *testing.T) {
+	withDispatch(true, func() {
+		for _, n := range []int{1, 4, 7, 9} {
+			for pos := 0; pos < n; pos++ {
+				for _, v := range specials {
+					b := make([]float64, n)
+					b[pos] = v
+					want := !math.IsInf(v, 0) && !math.IsNaN(v)
+					if got := tileable(b); got != want {
+						t.Fatalf("n=%d pos=%d v=%v: tileable = %v", n, pos, v, got)
+					}
+				}
+			}
+		}
+	})
+	withDispatch(false, func() {
+		if tileable([]float64{1}) {
+			t.Fatal("tileable with the AVX2 path off")
+		}
+	})
 }
 
 // FuzzKernels decodes the input as little-endian float64 values split
@@ -297,38 +367,79 @@ func FuzzKernels(f *testing.F) {
 	})
 }
 
+// FuzzGEMM draws Mul, MulAT and MulBT operands of fuzzed shape (each
+// dimension up to 70) from a fuzzed seed: a third of a's entries are
+// zero, and mode picks the specials — none, finite ones (±0,
+// subnormals, huge values) in every operand, or all of them (±Inf and
+// NaN too) in a only or in every operand. Both dispatch paths and
+// Workers 1 and 3 must agree bit for bit.
+func FuzzGEMM(f *testing.F) {
+	f.Add(uint8(4), uint8(8), uint8(8), uint64(1), uint8(0))
+	f.Add(uint8(70), uint8(70), uint8(70), uint64(2), uint8(1))
+	f.Add(uint8(5), uint8(3), uint8(9), uint64(3), uint8(2))
+	f.Add(uint8(7), uint8(13), uint8(41), uint64(4), uint8(3))
+	f.Add(uint8(1), uint8(0), uint8(5), uint64(5), uint8(1))
+	f.Fuzz(func(t *testing.T, m, k, n uint8, seed uint64, mode uint8) {
+		requireAVX2(t)
+		dm, dk, dn := int(m)%71, int(k)%71, int(n)%71
+		r := rng.New(seed)
+		pa, pb := []float64{0}, []float64{0} // mode 0: zeros only
+		switch mode % 4 {
+		case 1:
+			pa, pb = finiteSpecials, finiteSpecials
+		case 2:
+			pa, pb = specials, finiteSpecials
+		case 3:
+			pa, pb = specials, specials
+		}
+		a := mixMat(r, dm, dk, pa)
+		b, g, wt := mixMat(r, dk, dn, pb), mixMat(r, dm, dn, pb), mixMat(r, dk, dn, pb)
+		checkGEMMs(t, fmt.Sprintf("%dx%dx%d mode=%d", dm, dk, dn, mode%4), a, b, g, wt)
+	})
+}
+
 // BenchmarkGEMM runs Mul, MulAT and MulBT at the workload shapes on one
-// worker, through both dispatch paths, and reports GFLOP/s (2 flops
-// per multiply-add). Run it with
+// worker and reports GFLOP/s (2 flops per multiply-add), through the Go
+// path, the AVX2 tiles, and for Mul and MulAT the AVX2 row-wise loops
+// they fall back to when b holds a NaN. Run it with
 //
 //	go test -run '^$' -bench GEMM -benchtime 20x ./internal/mat
 func BenchmarkGEMM(b *testing.B) {
-	paths := []bool{false}
+	paths := []string{"go"}
 	if cpuHasAVX2() {
-		paths = append(paths, true)
+		paths = append(paths, "avx2", "avx2-nonfinite")
 	}
 	for _, s := range gemmShapes {
 		r := rng.New(uint64(s.m))
 		a, bm := randMat(r, s.m, s.k), randMat(r, s.k, s.n)
 		g, wt := randMat(r, s.m, s.n), randMat(r, s.k, s.n)
+		bNaN, gNaN := bm.Clone(), g.Clone()
+		bNaN.Data[len(bNaN.Data)-1], gNaN.Data[len(gNaN.Data)-1] = math.NaN(), math.NaN()
 		mul, mulAT, mulBT := New(s.m, s.n), New(s.k, s.n), New(s.m, s.k)
 		ops := []struct {
-			name string
-			run  func()
+			name     string
+			run      func(bm, g *Dense)
+			fallback bool // has a row-wise loop for non-finite b
 		}{
-			{"Mul", func() { Mul(mul, a, bm, 1) }},
-			{"MulAT", func() { MulAT(mulAT, a, g, 1) }},
-			{"MulBT", func() { MulBT(mulBT, g, wt, 1) }},
+			{"Mul", func(bm, _ *Dense) { Mul(mul, a, bm, 1) }, true},
+			{"MulAT", func(_, g *Dense) { MulAT(mulAT, a, g, 1) }, true},
+			{"MulBT", func(_, g *Dense) { MulBT(mulBT, g, wt, 1) }, false},
 		}
 		flops := 2 * float64(s.m) * float64(s.k) * float64(s.n)
 		for _, o := range ops {
-			for _, on := range paths {
-				path := map[bool]string{false: "go", true: "avx2"}[on]
+			for _, path := range paths {
+				ob, og := bm, g
+				if path == "avx2-nonfinite" {
+					if !o.fallback {
+						continue
+					}
+					ob, og = bNaN, gNaN
+				}
 				b.Run(fmt.Sprintf("%s/%s/%s", o.name, s.name, path), func(b *testing.B) {
-					withDispatch(on, func() {
+					withDispatch(path != "go", func() {
 						start := time.Now()
 						for i := 0; i < b.N; i++ {
-							o.run()
+							o.run(ob, og)
 						}
 						b.ReportMetric(flops*float64(b.N)/time.Since(start).Seconds()/1e9, "GFLOP/s")
 					})

@@ -4,26 +4,33 @@
 // backward propagation.
 //
 // It plays the role of Intel MKL in the paper's C++ implementation
-// (the weight-application step, Section V-A, is a dense GEMM). The
-// multiplication kernels use the i-k-j loop order so the innermost
-// loop streams contiguous rows of both the source and destination, and
-// they parallelize across row blocks via perf.Parallel.
+// (the weight-application step, Section V-A, is a dense GEMM). On
+// amd64 CPUs with AVX2, Mul and MulAT run as register tiles — 4×8
+// output blocks held in registers across the whole shared dimension,
+// over b packed into 8-column panels — and MulBT as 2×4 blocks of dot
+// products (the register blocking of Goto and van de Geijn, "Anatomy
+// of High-Performance Matrix Multiplication"). Everywhere else, and
+// for Mul and MulAT operands that hold Inf or NaN, the GEMMs run row
+// by row: each output row is built from axpy (dst += α·src) or dot
+// calls. Either way they parallelize across output rows via
+// perf.Parallel, and every output element gets the same operations in
+// the same order, so the result bits never depend on the path or on
+// the worker count.
 //
-// Every GEMM and propagation inner loop is one of a few kernels —
-// axpy (dst += α·src), dot, and the neighbor-row sums AddRows and
-// AxpyRows — which run as AVX2 assembly on amd64 CPUs that have it,
-// chosen once at package init from CPUID and XGETBV, and as Go loops
-// everywhere else. The assembly never uses a fused multiply-add, which
-// rounds once where the Go code rounds twice, so both paths give
-// bit-identical results (see kernels.go). The race detector does not
-// see memory accesses made inside assembly, so all sharding across
-// goroutines stays in Go, where it does.
+// The vector kernels — axpy, dot, the neighbor-row sums AddRows and
+// AxpyRows of feature propagation, and the GEMM tiles — run as AVX2
+// assembly on amd64 CPUs that have it, chosen once at package init
+// from CPUID and XGETBV, and as Go loops everywhere else. The assembly
+// never uses a fused multiply-add, which rounds once where the Go code
+// rounds twice, so both paths give bit-identical results (see
+// kernels.go). The race detector does not see memory accesses made
+// inside assembly, so all sharding across goroutines stays in Go,
+// where it does.
 package mat
 
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"gsgcn/internal/perf"
 )
@@ -170,8 +177,10 @@ func Mul(dst, a, b *Dense, workers int) {
 		panic(fmt.Sprintf("mat: Mul shape mismatch (%dx%d)*(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	perf.Parallel(a.Rows, workers, func(_, lo, hi int) {
-		mulRange(dst, a, b, lo, hi)
+	pk := tilesFor(a.Rows, b)
+	defer pk.release()
+	perf.Parallel(ceilDiv(a.Rows, tileRows), workers, func(_, lo, hi int) {
+		mulRange(dst, a, b, lo*tileRows, min(hi*tileRows, a.Rows), pk)
 	})
 }
 
@@ -182,7 +191,9 @@ func MulRange(dst, a, b *Dense, lo, hi int) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic("mat: MulRange shape mismatch")
 	}
-	mulRange(dst, a, b, lo, hi)
+	pk := tilesFor(hi-lo, b)
+	defer pk.release()
+	mulRange(dst, a, b, lo, hi, pk)
 }
 
 // MulBTRange computes rows [lo, hi) of dst = a * bᵀ serially.
@@ -193,33 +204,54 @@ func MulBTRange(dst, a, b *Dense, lo, hi int) {
 	mulBTRange(dst, a, b, lo, hi)
 }
 
-// mulBTRange computes rows [lo, hi) of dst = a * bᵀ serially.
+// mulBTRange computes rows [lo, hi) of dst = a * bᵀ serially: every
+// element is dot(a row, b row). On the AVX2 path dotTile computes row
+// pairs four columns at a time with dot's exact arithmetic; the last
+// odd row and the last b.Rows%4 columns call dot.
 func mulBTRange(dst, a, b *Dense, lo, hi int) {
-	k := a.Cols
-	for i := lo; i < hi; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := 0; j < b.Rows; j++ {
-			drow[j] = dot(arow, b.Data[j*k:(j+1)*k])
+	k, n := a.Cols, b.Rows
+	i := lo
+	if useAVX2 {
+		n4 := n &^ 3
+		for ; i+2 <= hi; i += 2 {
+			dotTile(dst.Data[i*n:], n, a.Data[i*k:], k, b.Data, k, k, n4)
+			dotRow(dst.Row(i)[n4:], a.Row(i), b, n4)
+			dotRow(dst.Row(i + 1)[n4:], a.Row(i+1), b, n4)
 		}
+	}
+	for ; i < hi; i++ {
+		dotRow(dst.Row(i), a.Row(i), b, 0)
 	}
 }
 
-// mulRange computes rows [lo, hi) of dst = a*b serially.
-func mulRange(dst, a, b *Dense, lo, hi int) {
-	n := b.Cols
+// dotRow sets drow[j] = dot(arow, b row j0+j).
+func dotRow(drow, arow []float64, b *Dense, j0 int) {
+	k := b.Cols
+	for j := range drow {
+		drow[j] = dot(arow, b.Data[(j0+j)*k:(j0+j+1)*k])
+	}
+}
+
+// mulRange computes rows [lo, hi) of dst = a*b serially, as gemmTile
+// tiles over b's panels pk when there are any (see tilesFor), else row
+// by row: each output row is +0 plus alpha·(row k of b) for every
+// nonzero alpha = a[i][k], in k order.
+func mulRange(dst, a, b *Dense, lo, hi int, pk *panels) {
+	n, k := b.Cols, a.Cols
+	if pk != nil {
+		for i := lo; i < hi; i += tileRows {
+			gemmTile(dst.Data[i*n:], n, a.Data[i*k:], k, 1, pk.data, pk.ldt, k, min(tileRows, hi-i), n, false)
+		}
+		return
+	}
 	for i := lo; i < hi; i++ {
 		drow := dst.Data[i*n : (i+1)*n]
-		for j := range drow {
-			drow[j] = 0
-		}
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		for k, av := range arow {
+		clear(drow)
+		for p, av := range a.Data[i*k : (i+1)*k] {
 			if av == 0 {
 				continue
 			}
-			brow := b.Data[k*n : (k+1)*n]
-			axpy(drow, brow, av)
+			axpy(drow, b.Data[p*n:(p+1)*n], av)
 		}
 	}
 }
@@ -233,105 +265,44 @@ func MulShards(dst, a, b *Dense, p int, cfg perf.SimConfig) perf.SimResult {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic("mat: MulShards shape mismatch")
 	}
+	pk := tilesFor(a.Rows, b)
+	defer pk.release()
 	return perf.SimRange(a.Rows, p, cfg, func(lo, hi int) {
-		mulRange(dst, a, b, lo, hi)
+		mulRange(dst, a, b, lo, hi, pk)
 	})
 }
 
 // MulAT computes dst = aᵀ * b (dst is a.Cols x b.Cols). Needed by the
 // backward pass: dW = Hᵀ · dY.
 //
-// The row range of a is decomposed into a fixed number of shards that
-// depends only on a.Rows — never on workers — each shard accumulates a
-// private partial product, and the partials are reduced in shard
-// order. Floating-point addition is not associative, so this fixed
-// decomposition is what makes the result bit-identical at every worker
-// count (the training engine's determinism contract: Workers=1 and
-// Workers=8 must produce the same loss trace).
+// The sum over a's rows is grouped into a fixed number of row shards
+// that depends only on the shape (mulATShards) — never on workers.
+// Each output element is +0 plus the shard sums in shard order, where
+// a shard sum runs over the shard's rows in order. Floating-point
+// addition is not associative, so this fixed grouping is what makes
+// the result bit-identical at every worker count (the training
+// engine's determinism contract: Workers=1 and Workers=8 must produce
+// the same loss trace). Workers split the output rows, so no partial
+// products are stored.
 func MulAT(dst, a, b *Dense, workers int) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic("mat: MulAT shape mismatch")
 	}
-	n := b.Cols
-	k := a.Cols
-	shards := mulATShards(a.Rows, k, n)
-	if shards <= 1 {
-		dst.Zero()
-		accumATRange(dst.Data, a, b, 0, a.Rows)
-		return
-	}
-	// shards > 1 always goes through per-shard partial buffers — even
-	// at workers == 1, where perf.Parallel degrades to a serial loop —
-	// so that every worker count performs the exact same additions in
-	// the exact same grouping.
-	size := k * n
-	slab := takeSlab(shards * size)
-	defer putSlab(slab)
-	perf.Parallel(shards, workers, func(_, slo, shi int) {
-		for s := slo; s < shi; s++ {
-			lo := s * a.Rows / shards
-			hi := (s + 1) * a.Rows / shards
-			p := slab[s*size : (s+1)*size]
-			clear(p)
-			accumATRange(p, a, b, lo, hi)
-		}
+	shards := mulATShards(a.Rows, a.Cols, b.Cols)
+	pk := tilesFor(a.Cols, b)
+	defer pk.release()
+	perf.Parallel(ceilDiv(a.Cols, tileRows), workers, func(_, lo, hi int) {
+		mulATRows(dst, a, b, shards, lo*tileRows, min(hi*tileRows, a.Cols), pk)
 	})
-	// Reduce in fixed shard order; each output element is owned by
-	// exactly one chunk, so the reduction parallelizes bit-exactly.
-	perf.ParallelMin(len(dst.Data), elemGrain, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := 0.0
-			for s := 0; s < shards; s++ {
-				v += slab[s*size+i]
-			}
-			dst.Data[i] = v
-		}
-	})
-}
-
-// atSlab keeps the largest MulAT partial-buffer slab between calls, so
-// a training step does not allocate (and the GC does not reclaim) its
-// shard partials again on every backward GEMM. It holds one slab, not a
-// sync.Pool's one per P plus a victim generation: on reddit-json the
-// pool kept ~10% more training RSS. Concurrent callers that find it
-// taken allocate their own; a slab is bounded by mulATShards' partial
-// budget. Results never depend on it.
-var atSlab struct {
-	sync.Mutex
-	buf []float64
-}
-
-// takeSlab returns a buffer of length n, reusing the kept slab when it
-// is large enough. Contents are unspecified.
-func takeSlab(n int) []float64 {
-	atSlab.Lock()
-	buf := atSlab.buf
-	atSlab.buf = nil
-	atSlab.Unlock()
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-// putSlab hands buf back for reuse, keeping the larger of it and any
-// slab returned meanwhile.
-func putSlab(buf []float64) {
-	atSlab.Lock()
-	if cap(buf) > cap(atSlab.buf) {
-		atSlab.buf = buf
-	}
-	atSlab.Unlock()
 }
 
 // mulATShards returns the fixed shard count for a MulAT of the given
-// shape: at least 64 rows per shard so each partial amortizes its
-// allocation, at most 64 shards (enough to occupy the paper's 40-core
-// platform), and few enough that the k x n partial buffers stay
-// within a fixed memory budget. The count is a function of the
-// problem shape only — never of the worker count — which is what
-// keeps the reduction order, and therefore the result, bit-identical
-// at every Workers setting.
+// shape: at least 64 rows per shard, at most 64 shards, and at most
+// 16 MiB over k x n partials. The bounds date from when each shard
+// stored a k x n partial product; they are kept as they are because
+// the count decides how the sum is grouped, and so the result bits.
+// It is a function of the problem shape only — never of the worker
+// count.
 func mulATShards(rows, k, n int) int {
 	const minBlock = 64
 	const maxShards = 64
@@ -351,19 +322,40 @@ func mulATShards(rows, k, n int) int {
 	return s
 }
 
-// accumATRange adds rows [lo, hi) of the product aᵀ·b into acc (a
-// k x n buffer in row-major order).
-func accumATRange(acc []float64, a, b *Dense, lo, hi int) {
-	n := b.Cols
-	k := a.Cols
-	for r := lo; r < hi; r++ {
-		arow := a.Data[r*k : (r+1)*k]
-		brow := b.Data[r*n : (r+1)*n]
-		for c, av := range arow {
-			if av == 0 {
-				continue
+// mulATRows computes output rows [lo, hi) of dst = aᵀ·b with
+// mulATShards' grouping. With b's panels pk (see tilesFor), each shard
+// adds its gemmTile sums into dst; otherwise each (shard, output row)
+// sum is built row by row in part, skipping a[r][c] == 0, and then
+// added.
+func mulATRows(dst, a, b *Dense, shards, lo, hi int, pk *panels) {
+	n, k := b.Cols, a.Cols
+	clear(dst.Data[lo*n : hi*n])
+	var part []float64
+	if pk == nil {
+		part = make([]float64, n)
+	}
+	for s := 0; s < shards; s++ {
+		r0, r1 := s*a.Rows/shards, (s+1)*a.Rows/shards
+		if r0 == r1 {
+			continue
+		}
+		if pk != nil {
+			for c := lo; c < hi; c += tileRows {
+				gemmTile(dst.Data[c*n:], n, a.Data[r0*k+c:], 1, k, pk.data[r0*panelCols:], pk.ldt, r1-r0, min(tileRows, hi-c), n, true)
 			}
-			axpy(acc[c*n:(c+1)*n], brow, av)
+			continue
+		}
+		for c := lo; c < hi; c++ {
+			clear(part)
+			for r := r0; r < r1; r++ {
+				if av := a.Data[r*k+c]; av != 0 {
+					axpy(part, b.Data[r*n:(r+1)*n], av)
+				}
+			}
+			drow := dst.Data[c*n : (c+1)*n]
+			for j, v := range part {
+				drow[j] += v
+			}
 		}
 	}
 }
@@ -374,10 +366,13 @@ func MulBT(dst, a, b *Dense, workers int) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("mat: MulBT shape mismatch")
 	}
-	perf.Parallel(a.Rows, workers, func(_, lo, hi int) {
-		mulBTRange(dst, a, b, lo, hi)
+	perf.Parallel(ceilDiv(a.Rows, 2), workers, func(_, lo, hi int) {
+		mulBTRange(dst, a, b, 2*lo, min(2*hi, a.Rows))
 	})
 }
+
+// ceilDiv returns ⌈n/d⌉ for n ≥ 0, d > 0.
+func ceilDiv(n, d int) int { return (n + d - 1) / d }
 
 // Axpy exposes dst += alpha*src for other packages.
 func Axpy(dst, src []float64, alpha float64) { axpy(dst, src, alpha) }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -617,7 +616,7 @@ func (rt *Router) handleEmbed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	ids, err := parseIDs(r)
+	ids, err := parseIDs(w, r)
 	if err != nil {
 		writeQueryErr(w, r, err)
 		return
@@ -640,7 +639,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	ids, err := parseIDs(r)
+	ids, err := parseIDs(w, r)
 	if err != nil {
 		writeQueryErr(w, r, err)
 		return
@@ -893,8 +892,8 @@ func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 		Artifact *string `json:"artifact"`
 	}
 	if r.Body != nil && r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeErr(w, fmt.Errorf("serve: bad JSON body: %w", err))
+		if err := decodeBody(w, r, maxReloadBody, &body); err != nil {
+			writeErr(w, err)
 			return
 		}
 	}

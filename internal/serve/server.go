@@ -34,6 +34,15 @@ var errShardDown = errors.New("serve: owning shard is down")
 // a batch.
 const maxQueryIDs = 4096
 
+// maxIDsBody bounds a POST id-list body before it is decoded: room for
+// maxQueryIDs ids of up to 20 digits, each with a separator and ample
+// whitespace. A longer body is rejected with a 400 once this many
+// bytes are read, so its size never reaches the heap.
+const maxIDsBody = 64*maxQueryIDs + 4096
+
+// maxReloadBody bounds a /reload body, which carries at most two paths.
+const maxReloadBody = 64 << 10
+
 // Server is the HTTP/JSON request layer over an inference Engine.
 //
 // Endpoints:
@@ -357,7 +366,7 @@ func parseVertexID(tok string) (int, error) {
 
 // parseIDs extracts the queried vertex ids from ?ids=… or a JSON
 // body {"ids":[…]}.
-func parseIDs(r *http.Request) ([]int, error) {
+func parseIDs(w http.ResponseWriter, r *http.Request) ([]int, error) {
 	var ids []int
 	switch r.Method {
 	case http.MethodGet:
@@ -376,8 +385,8 @@ func parseIDs(r *http.Request) ([]int, error) {
 		var body struct {
 			IDs []int `json:"ids"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			return nil, fmt.Errorf("serve: bad JSON body: %w", err)
+		if err := decodeBody(w, r, maxIDsBody, &body); err != nil {
+			return nil, err
 		}
 		ids = body.IDs
 	default:
@@ -387,6 +396,20 @@ func parseIDs(r *http.Request) ([]int, error) {
 		return nil, err
 	}
 	return ids, nil
+}
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes
+// of it (http.MaxBytesReader, which also has net/http close the
+// connection after the reply).
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		return fmt.Errorf("serve: request body exceeds %d bytes", limit)
+	}
+	if err != nil {
+		return fmt.Errorf("serve: bad JSON body: %w", err)
+	}
+	return nil
 }
 
 // checkQueryIDs enforces the id-list bounds every transport shares:
@@ -409,7 +432,7 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	ids, err := parseIDs(r)
+	ids, err := parseIDs(w, r)
 	if err != nil {
 		writeQueryErr(w, r, err)
 		return
@@ -432,7 +455,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	ids, err := parseIDs(r)
+	ids, err := parseIDs(w, r)
 	if err != nil {
 		writeQueryErr(w, r, err)
 		return
@@ -625,8 +648,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		Artifact *string `json:"artifact"`
 	}
 	if r.Body != nil && r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeErr(w, fmt.Errorf("serve: bad JSON body: %w", err))
+		if err := decodeBody(w, r, maxReloadBody, &body); err != nil {
+			writeErr(w, err)
 			return
 		}
 	}
