@@ -67,22 +67,21 @@ type (
 	// InferenceEngine computes and serves full-graph embeddings from a
 	// checkpointed model, with atomic hot reload.
 	InferenceEngine = serve.Engine
-	// InferenceServer is the HTTP/JSON request layer (micro-batching,
-	// /embed /predict /topk /healthz /reload) over an InferenceEngine.
-	InferenceServer = serve.Server
+	// InferenceServer is the HTTP/JSON model server (micro-batching,
+	// /embed /predict /topk /healthz /reload) over one or more
+	// InferenceEngines. It is the same type as ShardedServer: an
+	// unsharded server is a router with one shard.
+	InferenceServer = serve.Router
 	// ModelRegistry serves several independent models from one process:
-	// each registered model is a full InferenceServer (or a sharded
-	// ShardedServer) reached as /models/{name}/…, with the unprefixed
-	// routes answering from a configured default model. See docs/API.md
-	// for the HTTP surface.
+	// each registered model is an InferenceServer with one or more
+	// shards, reached as /models/{name}/…, with the unprefixed routes
+	// answering from a configured default model. See docs/API.md for
+	// the HTTP surface.
 	ModelRegistry = serve.Registry
-	// ModelServer is what the registry requires of one registered
-	// model; both InferenceServer and ShardedServer implement it.
-	ModelServer = serve.ModelServer
-	// ShardedServer is the scatter-gather router over N vertex-shard
-	// engines: the same HTTP surface as InferenceServer (plus /shards
-	// operations), with exact-mode answers byte-identical to a single
-	// process at every shard count.
+	// ShardedServer is the same type as InferenceServer, named for its
+	// N-shard use: N vertex-shard engines behind one scatter-gather
+	// surface (plus /shards operations when N > 1), with exact-mode
+	// answers byte-identical to a single process at every shard count.
 	ShardedServer = serve.Router
 	// ServingArtifact is a decoded snapshot artifact: precomputed
 	// full-graph embedding table, norms and (optionally) the
@@ -211,16 +210,17 @@ func NewInferenceEngine(ds *Dataset, opts ServeOptions) *InferenceEngine {
 	return serve.NewEngine(ds, opts)
 }
 
-// NewInferenceServer builds the batched HTTP serving layer over ds.
-// Call Load with a checkpoint path, then mount it as an http.Handler.
+// NewInferenceServer builds an unsharded model server over ds (a
+// router with one shard). Call Load with a checkpoint path, then mount
+// it as an http.Handler.
 func NewInferenceServer(ds *Dataset, opts ServeOptions) *InferenceServer {
 	return serve.NewServer(ds, opts)
 }
 
 // NewShardedServer builds a sharded serving fleet over ds: shards
 // engines each owning a deterministic, seed-keyed subset of the
-// vertices, behind a scatter-gather router with the InferenceServer
-// HTTP surface. Call Load with a checkpoint path, then mount it as an
+// vertices, behind one scatter-gather router (the InferenceServer
+// type). Call Load with a checkpoint path, then mount it as an
 // http.Handler (or register it in a ModelRegistry with AddSharded).
 func NewShardedServer(ds *Dataset, opts ServeOptions, shards int, seed uint64) (*ShardedServer, error) {
 	return serve.NewRouter(ds, opts, shards, seed)

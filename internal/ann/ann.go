@@ -10,9 +10,8 @@
 // world:
 //
 //   - Layer heights are a pure function of (seed, vertex id), drawn
-//     from a private LCG with P(level >= l+1 | level >= l) = 1/4 —
-//     the same generator idiom as the serving skiplist's randLevel —
-//     so the level assignment never depends on insertion order or
+//     from a private LCG with P(level >= l+1 | level >= l) = 1/4, so
+//     the level assignment never depends on insertion order or
 //     scheduling.
 //   - Construction is wave-parallel: vertices are inserted in id
 //     order in fixed-size waves. Within a wave every vertex searches

@@ -1,6 +1,7 @@
 package ann
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -221,7 +222,13 @@ func TestIndexStructure(t *testing.T) {
 }
 
 // TestHeapTotalOrder drives both heap orientations over a tie-heavy
-// offer stream and checks pops agree with a reference sort.
+// offer stream and checks pops agree with a reference sort; then it
+// drives the bounded selection every top-K scan and merge runs
+// (offerBounded, via Merge) over the streams a scan meets — random
+// tie-heavy streams, k=0/1 bounds, capacity above and at the stream
+// length, all-equal scores, NaN offers, ascending and descending
+// streams — and checks it keeps exactly the k best non-NaN offers,
+// best first, in either offer order.
 func TestHeapTotalOrder(t *testing.T) {
 	r := rng.New(3)
 	var items []Candidate
@@ -244,6 +251,71 @@ func TestHeapTotalOrder(t *testing.T) {
 		for i := range ref {
 			if got := h.pop(); got != ref[i] {
 				t.Fatalf("best=%v pop %d: got %+v, want %+v", best, i, got, ref[i])
+			}
+		}
+	}
+
+	nan := math.NaN()
+	seq := func(n int, score func(i int) float64) []Candidate {
+		out := make([]Candidate, n)
+		for i := range out {
+			out[i] = Candidate{ID: int32(i), Score: score(i)}
+		}
+		return out
+	}
+	ident := func(i int) float64 { return float64(i) }
+	var equal []Candidate
+	for _, id := range []int32{9, 3, 11, 0, 7, 5, 1, 8, 2, 10, 6, 4} {
+		equal = append(equal, Candidate{ID: id, Score: 0.25})
+	}
+	cases := []struct {
+		name   string
+		k      int
+		stream []Candidate
+	}{
+		{"k=3 of 100", 3, seq(100, ident)},
+		{"k=0", 0, seq(5, ident)},
+		{"k=1", 1, []Candidate{{5, 0.5}, {6, 0.9}, {7, 0.1}}},
+		{"capacity above stream", 50, seq(7, func(i int) float64 { return float64(i % 3) })},
+		{"capacity equals stream", 7, seq(7, ident)},
+		{"first eviction at capacity", 7, append(seq(7, ident), Candidate{99, 100})},
+		{"all equal scores", 5, equal},
+		{"NaN rejected", 3, []Candidate{{1, nan}, {2, 0.5}, {3, nan}, {4, 0.9}, {5, 0.1}, {6, nan}, {7, 0.7}}},
+		{"ascending", 5, seq(50, ident)},
+		{"descending", 5, seq(50, func(i int) float64 { return -float64(i) })},
+	}
+	rs := rng.New(77)
+	for trial := 0; trial < 30; trial++ {
+		k := 1 + rs.Intn(20)
+		cases = append(cases, struct {
+			name   string
+			k      int
+			stream []Candidate
+		}{fmt.Sprintf("random %d", trial), k, seq(1+rs.Intn(400), func(int) float64 { return float64(rs.Intn(10)) / 10 })})
+	}
+	for _, c := range cases {
+		var want []Candidate
+		for _, x := range c.stream {
+			if !math.IsNaN(x.Score) {
+				want = append(want, x)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			return Before(want[i].Score, want[i].ID, want[j].Score, want[j].ID)
+		})
+		want = want[:min(c.k, len(want))]
+		reversed := make([]Candidate, len(c.stream))
+		for i, x := range c.stream {
+			reversed[len(c.stream)-1-i] = x
+		}
+		for _, got := range [][]Candidate{Merge(c.k, c.stream), Merge(c.k, reversed)} {
+			if len(got) != len(want) {
+				t.Fatalf("%s: kept %d, want %d", c.name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: rank %d = %+v, want %+v", c.name, i, got[i], want[i])
+				}
 			}
 		}
 	}

@@ -58,6 +58,29 @@ func TestScanQuantEdgeCases(t *testing.T) {
 			t.Error("excluded row returned")
 		}
 	}
+	// An +Inf row scores NaN (Inf/Inf): the scan must not admit it,
+	// and a rerank handed it anyway must drop it, keeping the finite
+	// rows in Before order.
+	for j := range emb.Row(3) {
+		emb.Row(3)[j] = math.Inf(1)
+	}
+	norms[3] = math.Inf(1)
+	qt = mat.ToF32(emb, 1)
+	beam = ScanQuant(qt, norms, emb.Row(0), norms[0], 100, 0, 2)
+	if len(beam) != 8 {
+		t.Errorf("scan over an Inf row kept %d candidates, want the 8 finite ones", len(beam))
+	}
+	all := []Candidate{{ID: 3}, {ID: 1}, {ID: 2}, {ID: 4}}
+	got := RerankExact(emb, norms, emb.Row(0), norms[0], all, 4)
+	want := ExactTopK(emb, norms, emb.Row(0), norms[0], 9, 0)
+	for i, c := range got {
+		if c.ID == 3 || math.IsNaN(c.Score) || (i > 0 && !Before(got[i-1].Score, got[i-1].ID, c.Score, c.ID)) {
+			t.Fatalf("rerank over an Inf row = %+v", got)
+		}
+	}
+	if len(got) != 3 || len(want) != 8 {
+		t.Errorf("rerank kept %d of 3 finite rows; reference holds %d of 8", len(got), len(want))
+	}
 }
 
 // TestRerankExactBitIdentity is the exactness half of the quantized

@@ -1,6 +1,7 @@
 package ann
 
 import (
+	"math"
 	"sort"
 
 	"gsgcn/internal/mat"
@@ -14,8 +15,8 @@ import (
 // ExactTopK is the brute-force reference scanner: it scores every
 // vertex of the table against the query and returns the k best under
 // the Before total order — the same arithmetic and the same order as
-// the serving layer's exact skiplist scan, so ANN answers are
-// comparable element-for-element.
+// ScanExact, sorting where ScanExact selects, so it is the independent
+// reference for every scan. NaN scores are skipped, as the scans do.
 func ExactTopK(emb mat.RowSource, norms []float64, query []float64, qn float64, k int, exclude int32) []Candidate {
 	n := emb.NumRows()
 	if k < 1 || n == 0 {
@@ -29,6 +30,9 @@ func ExactTopK(emb mat.RowSource, norms []float64, query []float64, qn float64, 
 		score := 0.0
 		if d := qn * norms[v]; d > 0 {
 			score = mat.Dot(query, emb.Row(v)) / d
+		}
+		if math.IsNaN(score) {
+			continue
 		}
 		all = append(all, Candidate{ID: int32(v), Score: score})
 	}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"gsgcn/internal/ann"
 	"gsgcn/internal/artifact"
 	"gsgcn/internal/datasets"
 	"gsgcn/internal/mat"
@@ -51,6 +52,39 @@ func BenchmarkServeEmbed(b *testing.B) {
 	b.Run("batched", func(b *testing.B) { run(b, 64) })
 }
 
+// BenchmarkDefaultModelHTTP prices one request through the default
+// model's HTTP surface (middleware, parse, micro-batcher or exact
+// scan, JSON encode) on a 4,000-vertex table. Run with -benchmem:
+// allocs/op is the per-request allocation count. The top-K memo is
+// disabled so every /topk request runs the exact scan.
+func BenchmarkDefaultModelHTTP(b *testing.B) {
+	ds := datasets.Generate(datasets.Config{
+		Name: "http-bench", Vertices: 4000, TargetEdges: 32000,
+		FeatureDim: 32, NumClasses: 8, Seed: 7,
+	})
+	m := testModel(b, ds, 2, "mean")
+	srv := NewServer(ds, Options{Workers: 2, TopKCache: -1})
+	defer srv.Close()
+	if _, err := srv.Engine().Install(m); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct{ name, path string }{
+		{"embed", "/embed?ids=%d"},
+		{"topk_exact", "/topk?id=%d&k=10"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf(c.path, i%4000), nil))
+				if rec.Code != 200 {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTopKAnnVsExact tracks the speedup of the HNSW index over
 // the exact sharded scan on a Table-I-shaped graph: the exact path is
 // O(|V|) dot products per query, the ANN path visits only the beam's
@@ -77,14 +111,16 @@ func BenchmarkTopKAnnVsExact(b *testing.B) {
 
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			topkScan(st, i%n, k, eng.opts.Workers)
+			v := i % n
+			ann.ScanExact(st.Emb, st.norms, st.Emb.Row(v), st.norms[v], k, int32(v), eng.opts.Workers)
 		}
 	})
 	b.Run("ann", func(b *testing.B) {
 		idx := eng.annIndex(st) // build outside the timed region
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			eng.topkANN(st, i%n, k, eng.opts.ANNEf)
+			v := i % n
+			eng.shardTopK(st, st.Emb.Row(v), st.norms[v], topkKey{id: v, k: k, ann: true, ef: eng.opts.ANNEf})
 		}
 		b.StopTimer()
 		queries := make([]int32, 0, 50)
@@ -186,9 +222,9 @@ func BenchmarkWarmStartMmap(b *testing.B) {
 }
 
 // BenchmarkObsOverhead prices the observability middleware on the
-// /embed hot path: "instrumented" goes through Server.ServeHTTP (the
-// metrics middleware wrapping the mux), "bare" dispatches on the mux
-// directly. The gap between the two is the whole cost of /metrics
+// /embed hot path: "instrumented" goes through Router.ServeHTTP (the
+// metrics middleware wrapping the route table), "bare" calls the
+// routed handler directly. The gap between the two is the whole cost of /metrics
 // instrumentation per request — the acceptance bar is under 3%.
 func BenchmarkObsOverhead(b *testing.B) {
 	ds := datasets.Generate(datasets.Config{
@@ -211,7 +247,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 				if instrumented {
 					srv.ServeHTTP(rec, req)
 				} else {
-					srv.mux.ServeHTTP(rec, req)
+					_, h := srv.route("/embed")
+					h.ServeHTTP(rec, req)
 				}
 				if rec.Code != 200 {
 					b.Errorf("status %d: %s", rec.Code, rec.Body)

@@ -62,7 +62,7 @@ func serveFlood(t *testing.T, h http.Handler, path string) (status int, errMsg s
 }
 
 // TestOversizedBodiesRejected: a 100 MB POST to /embed, /predict or
-// /reload, on a Server and on a Router, gets a 400 with the error
+// /reload, on an unsharded and on a sharded model, gets a 400 with the error
 // envelope after at most the endpoint's bound has been read, and the
 // handler allocates less than floodHeapBound. The model is not
 // reloaded.

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"net/http"
 	"os"
 	"regexp"
 	"strings"
@@ -52,8 +51,8 @@ func TestAPIDocCoversRegisteredRoutes(t *testing.T) {
 }
 
 // TestRegisteredRoutesComplete cross-checks the route table against
-// the live muxes: every per-model endpoint in the table must be
-// routable on a Server, and the registry must answer (or cleanly
+// the live router: every per-model endpoint in the table must be
+// routable on an unsharded model, and the registry must answer (or cleanly
 // reject) both spellings — so the table RegisteredRoutes derives from
 // cannot drift from what is actually served.
 func TestRegisteredRoutesComplete(t *testing.T) {
@@ -61,17 +60,10 @@ func TestRegisteredRoutesComplete(t *testing.T) {
 	srv := NewServer(ds, Options{Workers: 1})
 	defer srv.Close()
 	for _, e := range perModelEndpoints {
-		if srv.handlerFor(e.Pattern) == nil {
-			t.Errorf("endpoint %s has no handler", e.Pattern)
-		}
-		// The mux must route the pattern to our handler, not a 404:
-		// http.ServeMux.Handler reports the registered pattern.
-		req, err := http.NewRequest("GET", e.Pattern, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, got := srv.mux.Handler(req); got != e.Pattern {
-			t.Errorf("mux routes %s to pattern %q", e.Pattern, got)
+		// The router must resolve the pattern to its own handler and
+		// label, not the 404 catch-all.
+		if ep, h := srv.route(e.Pattern); h == nil || ep != e.Pattern {
+			t.Errorf("router routes %s to endpoint %q", e.Pattern, ep)
 		}
 	}
 	// /models + the bare /models/{name} alias + both spellings of

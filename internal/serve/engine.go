@@ -348,15 +348,54 @@ type Engine struct {
 	artSum  uint64
 	artMeta artifact.Meta
 
-	cacheMu sync.Mutex
-	cache   map[topkKey]*TopKResult
+	cache topkMemo
 }
 
+// topkKey identifies one resolved top-K query on one snapshot.
 type topkKey struct {
 	version uint64
 	id, k   int
 	ann     bool
 	ef      int // 0 for exact mode
+}
+
+// topkMemo memoizes top-K answers per topkKey, bounded to cap entries.
+// Keys carry the snapshot version, so an install drops the older
+// versions' entries wholesale.
+type topkMemo struct {
+	mu  sync.Mutex
+	cap int
+	m   map[topkKey]*TopKResult
+}
+
+func newTopkMemo(cap int) topkMemo {
+	return topkMemo{cap: cap, m: make(map[topkKey]*TopKResult)}
+}
+
+func (c *topkMemo) get(key topkKey) (*TopKResult, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	res, ok := c.m[key]
+	return res, ok
+}
+
+func (c *topkMemo) put(key topkKey, res *TopKResult) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.m) < c.cap {
+		c.m[key] = res
+	}
+}
+
+// dropStale evicts the entries of every snapshot but version.
+func (c *topkMemo) dropStale(version uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for k := range c.m {
+		if k.version != version {
+			delete(c.m, k)
+		}
+	}
 }
 
 // NewEngine wires an engine over the dataset's graph and features.
@@ -368,7 +407,7 @@ func NewEngine(ds *datasets.Dataset, opts Options) *Engine {
 		ds:           ds,
 		opts:         opts,
 		artifactPath: opts.ArtifactPath,
-		cache:        make(map[topkKey]*TopKResult),
+		cache:        newTopkMemo(opts.TopKCache),
 	}
 	if opts.sharded() {
 		e.owned = opts.shardMap().Owned(ds.G.NumVertices(), opts.ShardIndex)
@@ -451,7 +490,7 @@ func (e *Engine) InstallShared(m *core.Model, full func() (*mat.Dense, []float64
 	st := e.buildState(m, full)
 	st.Version = e.swaps.Add(1)
 	e.state.Store(st)
-	e.dropStaleCache(st.Version)
+	e.cache.dropStale(st.Version)
 	return st.Version, nil
 }
 
@@ -702,17 +741,6 @@ func (e *Engine) LoadCheckpoint(path string) (uint64, error) {
 	return e.Install(m)
 }
 
-// dropStaleCache evicts memoized query results from older snapshots.
-func (e *Engine) dropStaleCache(version uint64) {
-	e.cacheMu.Lock()
-	defer e.cacheMu.Unlock()
-	for k := range e.cache {
-		if k.version != version {
-			delete(e.cache, k)
-		}
-	}
-}
-
 // FullEmbeddings runs the model's GCN stack (without the classifier
 // head) over the entire graph and returns the |V| x OutWidth
 // final-layer embedding table. The computation streams one layer at a
@@ -869,8 +897,8 @@ type TopKResult struct {
 	// Degraded marks an answer a sharded router assembled while one or
 	// more non-owning shards were down: the neighbors listed are exact
 	// over the live shards' vertices but vertices of the dead shards
-	// could not be considered. Never set on a healthy fleet or a
-	// single-engine server, so healthy responses stay byte-identical.
+	// could not be considered. Never set on a healthy fleet or an
+	// unsharded model, so healthy responses stay byte-identical.
 	Degraded  bool       `json:"degraded,omitempty"`
 	Neighbors []Neighbor `json:"neighbors"`
 }
@@ -1041,17 +1069,17 @@ func (e *Engine) TopK(id, k int) (*TopKResult, error) {
 }
 
 // TopKWith answers a similar-nodes query in the requested mode.
-// ModeExact runs the sharded full scan: per-shard candidates
-// accumulate in bounded skiplists that merge in shard order, so the
-// answer is deterministic at every Workers setting. ModeANN searches
-// the snapshot's HNSW index with beam width ef (<= 0 uses the
-// configured default), built lazily on first use; when the beam would
-// cover the whole table anyway (ef or k >= |V|-1) the query falls
-// back to the exact scan, and the result reports mode "exact". Both
-// modes rank by the same total order (descending score, ascending id
-// on ties) and both are bit-identical across Workers settings,
-// rebuilds and reloads. Results are memoized per (snapshot version,
-// id, k, mode, ef); k must be in [1, |V|-1].
+// ModeExact runs the worker-sharded exact scan (ann.ScanExact), whose
+// answer is the same at every Workers setting. ModeANN searches the
+// snapshot's HNSW index with beam width ef (<= 0 uses the configured
+// default), built lazily on first use — or, on a quantized snapshot,
+// scans the compact table and reranks the beam exactly; when the beam
+// would cover the whole table anyway (ef or k >= |V|-1) the query
+// falls back to the exact scan, and the result reports mode "exact".
+// Both modes rank by ann.Before (descending score, ascending id on
+// ties) and both are bit-identical across Workers settings, rebuilds
+// and reloads. Results are memoized per (snapshot version, id, k,
+// mode, ef); k must be in [1, |V|-1].
 func (e *Engine) TopKWith(id, k int, mode string, ef int) (*TopKResult, error) {
 	st, err := e.Snapshot()
 	if err != nil {
@@ -1060,63 +1088,80 @@ func (e *Engine) TopKWith(id, k int, mode string, ef int) (*TopKResult, error) {
 	if err := checkIDs(st, []int{id}); err != nil {
 		return nil, err
 	}
-	if _, ok := st.rowOf(id); !ok {
+	row, ok := st.rowOf(id)
+	if !ok {
 		return nil, fmt.Errorf("%w: vertex id %d", errNotOwned, id)
 	}
+	key, err := planTopK(st, id, k, mode, ef, e.opts, st.Emb.NumRows())
+	if err != nil {
+		return nil, err
+	}
+	if hit, ok := e.cache.get(key); ok {
+		return hit, nil
+	}
+	res := topkResult(st, key, e.shardTopK(st, st.Emb.Row(row), st.norms[row], key), false)
+	e.cache.put(key, res)
+	return res, nil
+}
+
+// planTopK is the one validation and mode resolution of a top-K query
+// whose id is already range-checked against snapshot st: k must be in
+// [1, total-1] and mode known; ann mode takes the default beam width
+// when ef <= 0 and never a beam narrower than k, and falls back to
+// exact when the beam would cover rows-1 or more of the table it
+// searches (the engine's own rows, or the whole graph for a router).
+func planTopK(st *State, id, k int, mode string, ef int, opts Options, rows int) (topkKey, error) {
 	if k < 1 {
-		return nil, fmt.Errorf("serve: k must be >= 1, got %d", k)
+		return topkKey{}, fmt.Errorf("serve: k must be >= 1, got %d", k)
 	}
 	if max := st.total - 1; k > max {
-		return nil, fmt.Errorf("serve: k=%d exceeds the %d other vertices", k, max)
+		return topkKey{}, fmt.Errorf("serve: k=%d exceeds the %d other vertices", k, max)
 	}
 	useANN := false
 	switch mode {
 	case ModeAuto:
-		useANN = e.opts.ANN
+		useANN = opts.ANN
 	case ModeExact:
 	case ModeANN:
 		useANN = true
 	default:
-		return nil, fmt.Errorf("serve: unknown topk mode %q (want exact or ann)", mode)
+		return topkKey{}, fmt.Errorf("serve: unknown topk mode %q (want exact or ann)", mode)
 	}
 	if useANN {
 		if ef <= 0 {
-			ef = e.opts.ANNEf
+			ef = opts.ANNEf
 		}
-		if ef < k {
-			ef = k
-		}
+		ef = max(ef, k)
 		// The beam covers (almost) the whole table: the exact scan is
 		// both cheaper and, by definition, at least as accurate.
-		if n := st.Emb.NumRows(); ef >= n-1 || k >= n-1 {
-			useANN = false
-		}
+		useANN = ef < rows-1 && k < rows-1
 	}
 	if !useANN {
 		ef = 0
 	}
+	return topkKey{version: st.Version, id: id, k: k, ann: useANN, ef: ef}, nil
+}
 
-	key := topkKey{version: st.Version, id: id, k: k, ann: useANN, ef: ef}
-	e.cacheMu.Lock()
-	if hit, ok := e.cache[key]; ok {
-		e.cacheMu.Unlock()
-		return hit, nil
+// topkResult wraps ranked candidates (global ids) as the answer to key.
+func topkResult(st *State, key topkKey, cands []ann.Candidate, degraded bool) *TopKResult {
+	mode := ModeExact
+	if key.ann {
+		mode = ModeANN
 	}
-	e.cacheMu.Unlock()
-
-	var res *TopKResult
-	if useANN {
-		res = e.topkANN(st, id, k, ef)
-	} else {
-		res = topkScan(st, id, k, e.opts.Workers)
+	nbs := make([]Neighbor, len(cands))
+	for i, c := range cands {
+		nbs[i] = Neighbor{ID: int(c.ID), Score: c.Score}
 	}
-
-	e.cacheMu.Lock()
-	if len(e.cache) < e.opts.TopKCache {
-		e.cache[key] = res
+	return &TopKResult{
+		Version:      st.Version,
+		ModelVersion: st.ModelVersion,
+		ID:           key.id,
+		K:            key.k,
+		Mode:         mode,
+		Ef:           key.ef,
+		Degraded:     degraded,
+		Neighbors:    nbs,
 	}
-	e.cacheMu.Unlock()
-	return res, nil
 }
 
 // annIndex returns the snapshot's HNSW index, building it on first
@@ -1131,139 +1176,35 @@ func (e *Engine) annIndex(st *State) *ann.Index {
 	return st.annIdx.Load()
 }
 
-// topkANN answers a top-K query from the snapshot's HNSW index.
-func (e *Engine) topkANN(st *State, id, k, ef int) *TopKResult {
-	row, _ := st.rowOf(id)
-	nbs := e.annVec(st, st.Emb.Row(row), st.norms[row], id, k, ef)
-	return &TopKResult{
-		Version:      st.Version,
-		ModelVersion: st.ModelVersion,
-		ID:           id,
-		K:            k,
-		Mode:         ModeANN,
-		Ef:           ef,
-		Neighbors:    nbs,
-	}
-}
-
-// annVec runs the snapshot's ANN candidate search for an arbitrary
-// query vector, excluding global vertex id exclude (-1 = none), and
-// reports the candidates as global ids. On an f64 snapshot this is an
-// HNSW beam search; on a quantized snapshot it is the flat scan of
-// the compact table followed by an exact-f64 rerank of the ef-wide
-// beam — so every score returned, whatever the dtype, is bit-equal to
-// the exact scanner's score for that row. The search runs over local
-// rows; exclusion and results map through the snapshot's owned list.
-func (e *Engine) annVec(st *State, q []float64, qn float64, exclude, k, ef int) []Neighbor {
+// shardTopK answers key for the query vector (q, qn) over snapshot
+// st's rows: the k best other than vertex key.id, as global ids, best
+// first. Exact mode, and ann mode whose beam would cover the local
+// table anyway, run ann.ScanExact over the local rows. Otherwise an
+// f64 snapshot searches its HNSW index and a quantized one scans its
+// compact table and reranks the ef-wide beam from the f64 rows, so
+// every score returned, whatever the dtype, is bit-equal to the exact
+// scan's score for that row. Local rows ascend in global id, so
+// mapping them back keeps ann.Before's tie order.
+func (e *Engine) shardTopK(st *State, q []float64, qn float64, key topkKey) []ann.Candidate {
 	ex := int32(-1)
-	if exclude >= 0 {
-		if r, ok := st.rowOf(exclude); ok {
-			ex = int32(r)
-		}
+	if r, ok := st.rowOf(key.id); ok {
+		ex = int32(r)
 	}
-	var cands []ann.Candidate
-	if st.quant != nil {
-		beam := ann.ScanQuant(st.quant, st.norms, q, qn, ef, ex, e.opts.Workers)
-		cands = ann.RerankExact(st.Emb, st.norms, q, qn, beam, k)
-	} else {
-		cands = e.annIndex(st).Search(q, qn, k, ef, ex)
-	}
-	nbs := make([]Neighbor, len(cands))
-	for i, c := range cands {
-		nbs[i] = Neighbor{ID: st.globalID(int(c.ID)), Score: c.Score}
-	}
-	return nbs
-}
-
-// topkScan computes the exact top-K cosine neighbors of id.
-func topkScan(st *State, id, k, workers int) *TopKResult {
-	row, _ := st.rowOf(id)
-	return &TopKResult{
-		Version:      st.Version,
-		ModelVersion: st.ModelVersion,
-		ID:           id,
-		K:            k,
-		Mode:         ModeExact,
-		Neighbors:    scanVec(st, st.Emb.Row(row), st.norms[row], id, k, workers),
-	}
-}
-
-// scanVec runs the worker-sharded exact scan of the snapshot's table
-// against an arbitrary query vector, excluding global vertex id
-// exclude (-1 = none). Every comparison uses the tkBefore total
-// order, so the merged list is bit-identical at every workers setting
-// — and, because candidates carry global ids, a scatter over N shard
-// engines merges into exactly the whole-graph answer.
-func scanVec(st *State, q []float64, qn float64, exclude, k, workers int) []Neighbor {
 	n := st.Emb.NumRows()
-	// One bounded skiplist per contiguous row range.
-	shards := workers
-	if shards > n {
-		shards = n
+	var cands []ann.Candidate
+	switch {
+	case !key.ann || key.ef >= n-1 || key.k >= n-1:
+		cands = ann.ScanExact(st.Emb, st.norms, q, qn, key.k, ex, e.opts.Workers)
+	case st.quant != nil:
+		beam := ann.ScanQuant(st.quant, st.norms, q, qn, key.ef, ex, e.opts.Workers)
+		cands = ann.RerankExact(st.Emb, st.norms, q, qn, beam, key.k)
+	default:
+		cands = e.annIndex(st).Search(q, qn, key.k, key.ef, ex)
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	lists := make([]*topKList, shards)
-	perf.Parallel(shards, workers, func(_, slo, shi int) {
-		for s := slo; s < shi; s++ {
-			lo := s * n / shards
-			hi := (s + 1) * n / shards
-			tk := newTopKList(k)
-			for r := lo; r < hi; r++ {
-				gid := st.globalID(r)
-				if gid == exclude {
-					continue
-				}
-				score := 0.0
-				if d := qn * st.norms[r]; d > 0 {
-					score = mat.Dot(q, st.Emb.Row(r)) / d
-				}
-				tk.Offer(int32(gid), score)
-			}
-			lists[s] = tk
-		}
-	})
-	final := newTopKList(k)
-	for _, tk := range lists {
-		for x := tk.front(); x != nil; x = x.next[0] {
-			final.Offer(x.id, x.score)
+	if st.owned != nil {
+		for i := range cands {
+			cands[i].ID = st.owned[cands[i].ID]
 		}
 	}
-	return final.items()
-}
-
-// snapshotRow resolves the current snapshot and the embedding row and
-// norm of an owned vertex — the router's way of fetching a query
-// vector from the shard that owns it.
-func (e *Engine) snapshotRow(id int) (*State, []float64, float64, error) {
-	st, err := e.Snapshot()
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if err := checkIDs(st, []int{id}); err != nil {
-		return nil, nil, 0, err
-	}
-	row, ok := st.rowOf(id)
-	if !ok {
-		return nil, nil, 0, fmt.Errorf("%w: vertex id %d", errNotOwned, id)
-	}
-	return st, st.Emb.Row(row), st.norms[row], nil
-}
-
-// shardTopK answers one scatter probe: the k best candidates of this
-// engine's table for the supplied query vector, as global ids. In ANN
-// mode the per-shard HNSW index is searched unless the beam would
-// cover the local table anyway, in which case the exact local scan is
-// both cheaper and complete — the same fallback rule the whole-graph
-// engine applies.
-func (e *Engine) shardTopK(q []float64, qn float64, exclude, k int, useANN bool, ef int) ([]Neighbor, *State, error) {
-	st, err := e.Snapshot()
-	if err != nil {
-		return nil, nil, err
-	}
-	if useANN && ef < st.Emb.NumRows()-1 && k < st.Emb.NumRows()-1 {
-		return e.annVec(st, q, qn, exclude, k, ef), st, nil
-	}
-	return scanVec(st, q, qn, exclude, k, e.opts.Workers), st, nil
+	return cands
 }

@@ -278,7 +278,7 @@ func TestEngineErrors(t *testing.T) {
 	}
 }
 
-// TestTopKMatchesBruteForce verifies the skiplist-sharded scan
+// TestTopKMatchesBruteForce verifies the worker-sharded exact scan
 // against a full sort, at several worker counts, and checks that the
 // query node itself is excluded.
 func TestTopKMatchesBruteForce(t *testing.T) {
@@ -380,11 +380,11 @@ func TestTopKCacheVersioning(t *testing.T) {
 	if c.Version != 2 {
 		t.Errorf("post-reload version = %d, want 2", c.Version)
 	}
-	eng.cacheMu.Lock()
-	for key := range eng.cache {
+	eng.cache.mu.Lock()
+	for key := range eng.cache.m {
 		if key.version != 2 {
 			t.Errorf("stale cache key %+v survived reload", key)
 		}
 	}
-	eng.cacheMu.Unlock()
+	eng.cache.mu.Unlock()
 }

@@ -8,11 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
-
-	"gsgcn/internal/datasets"
-	"gsgcn/internal/obs"
 )
 
 // errMethod marks requests using an unsupported HTTP method.
@@ -43,41 +39,6 @@ const maxIDsBody = 64*maxQueryIDs + 4096
 // maxReloadBody bounds a /reload body, which carries at most two paths.
 const maxReloadBody = 64 << 10
 
-// Server is the HTTP/JSON request layer over an inference Engine.
-//
-// Endpoints:
-//
-//	GET|POST /embed    ?ids=0,1,2     → embedding vectors
-//	GET|POST /predict  ?ids=0,1,2     → class labels + probabilities
-//	GET      /topk     ?id=7&k=10     → most cosine-similar vertices
-//	                   &mode=exact|ann&ef=64 (ann: HNSW beam search)
-//	GET      /healthz                 → liveness + serving stats
-//	GET      /metrics                 → Prometheus text exposition
-//	POST     /reload   {"path": "…"}  → hot-swap a new checkpoint
-//
-// POST bodies are JSON ({"ids":[…]}). Point queries arriving
-// concurrently are coalesced by the micro-batcher; every response
-// carries the snapshot version it was answered from. Every request
-// passes through the shared obs middleware (request/latency/error
-// metrics, optional structured access log) — observation-only, so
-// answers are bit-identical with instrumentation on or off.
-type Server struct {
-	eng  *Engine
-	bat  *batcher
-	gate *admitGate
-	mux  *http.ServeMux
-	inst *modelMetrics
-
-	mu       sync.Mutex
-	ckptPath string
-
-	// swapMu serializes whole /reload sequences (artifact retarget →
-	// load → rollback on failure) so concurrent reloads cannot
-	// interleave their retargets and restores. It is never taken on
-	// the query or health paths.
-	swapMu sync.Mutex
-}
-
 // RouteDoc names one registered HTTP route: the methods it accepts
 // and its path pattern ({name} marks the model-name segment of
 // registry routes).
@@ -89,8 +50,8 @@ type RouteDoc struct {
 // perModelEndpoints enumerates the per-model endpoints. Each is
 // served twice: unprefixed against the default model (the PR 2–4
 // single-model surface, byte-compatible) and as /models/{name}/…
-// through a Registry. NewServer registers handlers from this table
-// and RegisteredRoutes derives the documented route list from it, so
+// through a Registry. Router.route dispatches from this table and
+// RegisteredRoutes derives the documented route list from it, so
 // an endpoint cannot be added without showing up in docs/API.md (the
 // coverage test in docs_test.go enforces the link).
 var perModelEndpoints = []RouteDoc{
@@ -152,107 +113,6 @@ func stripV1(path string) string {
 // spellings, like every other answer.
 func notFoundHandler(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("serve: unknown endpoint %q", stripV1(r.URL.Path))})
-}
-
-// handlerFor maps an endpoint pattern to its handler on s.
-func (s *Server) handlerFor(pattern string) http.HandlerFunc {
-	switch pattern {
-	case "/embed":
-		return s.handleEmbed
-	case "/predict":
-		return s.handlePredict
-	case "/topk":
-		return s.handleTopK
-	case "/healthz":
-		return s.handleHealthz
-	case "/metrics":
-		return s.handleMetrics
-	case "/reload":
-		return s.handleReload
-	}
-	panic("serve: endpoint " + pattern + " has no handler")
-}
-
-// NewServer builds a server over ds. No checkpoint is loaded yet;
-// call Load (or POST /reload with a path) before serving queries.
-func NewServer(ds *datasets.Dataset, opts Options) *Server {
-	opts = opts.withDefaults()
-	if opts.Obs == nil {
-		opts.Obs = obs.NewRegistry()
-	}
-	eng := NewEngine(ds, opts)
-	s := &Server{eng: eng, bat: newBatcher(eng, eng.opts.MaxBatch)}
-	s.gate = newAdmitGate(eng.opts, func() int { return len(s.bat.reqs) })
-	s.gate.instrument(opts.Obs, map[string]string{"model": opts.ModelName})
-	s.bat.instrument(opts.Obs, map[string]string{"model": opts.ModelName})
-	s.inst = newModelMetrics(opts.Obs, opts.ModelName, opts.AccessLog, endpointPatterns(perModelEndpoints))
-	mux := http.NewServeMux()
-	for _, e := range perModelEndpoints {
-		h := s.handlerFor(e.Pattern)
-		mux.HandleFunc(e.Pattern, h)
-		mux.HandleFunc("/v1"+e.Pattern, h)
-	}
-	mux.HandleFunc("/", notFoundHandler)
-	s.mux = mux
-	return s
-}
-
-// Engine exposes the underlying inference engine.
-func (s *Server) Engine() *Engine { return s.eng }
-
-// Load installs the checkpoint at path and remembers it as the
-// default for subsequent Reload calls.
-func (s *Server) Load(path string) (uint64, error) {
-	v, err := s.eng.LoadCheckpoint(path)
-	if err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	s.ckptPath = path
-	s.mu.Unlock()
-	return v, nil
-}
-
-// Reload re-reads the last loaded checkpoint path and swaps the new
-// snapshot in without interrupting in-flight requests.
-func (s *Server) Reload() (uint64, error) {
-	s.mu.Lock()
-	path := s.ckptPath
-	s.mu.Unlock()
-	if path == "" {
-		return 0, fmt.Errorf("serve: no checkpoint path to reload")
-	}
-	return s.eng.LoadCheckpoint(path)
-}
-
-// CheckpointPath returns the checkpoint the server last loaded
-// (empty before the first Load).
-func (s *Server) CheckpointPath() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ckptPath
-}
-
-// Close stops the micro-batch dispatcher.
-func (s *Server) Close() { s.bat.close() }
-
-// ServeHTTP implements http.Handler. Every request — known endpoint
-// or not — runs under the obs middleware; unknown paths fold into the
-// catch-all endpoint label, and /v1 spellings share their alias's
-// label.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.inst.serve(stripV1(r.URL.Path), s.mux, w, r)
-}
-
-// instruments exposes the server's obs middleware to the registry,
-// which bills its own per-model status route to the model it serves.
-func (s *Server) instruments() *modelMetrics { return s.inst }
-
-// handleMetrics serves the model-scoped Prometheus rows. Behind a
-// Registry the same handler backs /models/{name}/metrics, while the
-// registry's bare /metrics renders every model's rows.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.inst.handleMetrics(w, r)
 }
 
 // writeJSON emits v with the given status.
@@ -425,52 +285,6 @@ func checkQueryIDs(ids []int) error {
 	return nil
 }
 
-func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
-	release, err := s.gate.admit()
-	if err != nil {
-		writeQueryErr(w, r, err)
-		return
-	}
-	defer release()
-	ids, err := parseIDs(w, r)
-	if err != nil {
-		writeQueryErr(w, r, err)
-		return
-	}
-	ctx, cancel := queryCtx(r, s.eng.opts.Deadline)
-	defer cancel()
-	res, batch, err := s.bat.Embed(ctx, ids)
-	if err != nil {
-		writeQueryErr(w, r, err)
-		return
-	}
-	annotBatch(r.Context(), batch)
-	writeEmbedRes(w, r, res)
-}
-
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	release, err := s.gate.admit()
-	if err != nil {
-		writeQueryErr(w, r, err)
-		return
-	}
-	defer release()
-	ids, err := parseIDs(w, r)
-	if err != nil {
-		writeQueryErr(w, r, err)
-		return
-	}
-	ctx, cancel := queryCtx(r, s.eng.opts.Deadline)
-	defer cancel()
-	res, batch, err := s.bat.Predict(ctx, ids)
-	if err != nil {
-		writeQueryErr(w, r, err)
-		return
-	}
-	annotBatch(r.Context(), batch)
-	writePredictRes(w, r, res)
-}
-
 // topkQuery is a parsed /topk request.
 type topkQuery struct {
 	id, k int
@@ -479,9 +293,9 @@ type topkQuery struct {
 }
 
 // parseTopKQuery validates a /topk request for a graph of the given
-// vertex count. It is shared by the single-engine handler and the
-// scatter-gather router so both reject exactly the same surface forms
-// with the same bodies.
+// vertex count. Every model's /topk handler parses through it, so all
+// shard counts reject exactly the same surface forms with the same
+// bodies.
 func parseTopKQuery(r *http.Request, vertices int, annEnabled bool) (topkQuery, error) {
 	if r.Method != http.MethodGet {
 		return topkQuery{}, fmt.Errorf("%w: %s", errMethod, r.Method)
@@ -542,26 +356,8 @@ func resolveTopK(q topkQuery, kSet bool, vertices int, annEnabled bool) (topkQue
 	return q, nil
 }
 
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	release, err := s.gate.admit()
-	if err != nil {
-		writeQueryErr(w, r, err)
-		return
-	}
-	defer release()
-	tq, err := parseTopKQuery(r, s.eng.ds.G.NumVertices(), s.eng.opts.ANN)
-	if err != nil {
-		writeQueryErr(w, r, err)
-		return
-	}
-	res, err := s.eng.TopKWith(tq.id, tq.k, tq.mode, tq.ef)
-	if err != nil {
-		writeQueryErr(w, r, err)
-		return
-	}
-	writeTopKRes(w, r, res)
-}
-
+// healthBody is a model's /healthz body; the registry's per-model
+// status embeds it, so that body is a field superset of this one.
 type healthBody struct {
 	Status       string  `json:"status"`
 	Version      uint64  `json:"version"`
@@ -578,121 +374,6 @@ type healthBody struct {
 	Batches      uint64  `json:"batches"`
 	Queries      uint64  `json:"queries"`
 	Coalescing   float64 `json:"coalescing"`
-}
-
-// health assembles the single-model health body. It is the one
-// source of truth for both the legacy /healthz response and the
-// per-model extended status (modelStatus embeds healthBody), so the
-// documented "per-model healthz is a superset of legacy /healthz"
-// invariant holds by construction.
-func (s *Server) health() healthBody {
-	body := healthBody{
-		Status:   "loading",
-		Vertices: s.eng.ds.G.NumVertices(),
-		Edges:    s.eng.ds.G.NumEdges(),
-		Classes:  s.eng.ds.NumClasses,
-		Dtype:    s.eng.opts.Dtype.String(),
-	}
-	if st, err := s.eng.Snapshot(); err == nil {
-		body.Status = "ok"
-		body.Version = st.Version
-		body.ModelVersion = st.ModelVersion
-		body.Dim = st.Dim()
-		body.WarmStart = st.WarmStart
-		body.WarmNote = st.WarmNote
-		body.Dtype = st.Dtype().String()
-		body.ResidentB = st.ResidentBytes()
-		body.MappedB = st.MappedBytes()
-	}
-	body.Batches, body.Queries = s.bat.Stats()
-	if body.Batches > 0 {
-		body.Coalescing = float64(body.Queries) / float64(body.Batches)
-	}
-	return body
-}
-
-// modelInfo reports the registry-facing configuration summary of an
-// unsharded model.
-func (s *Server) modelInfo() modelInfo {
-	info := modelInfo{
-		artifact:   s.eng.ArtifactPath(),
-		annDefault: s.eng.opts.ANN,
-		index:      "none",
-	}
-	if st, err := s.eng.Snapshot(); err == nil {
-		if st.IndexReady() {
-			info.index = "built"
-		} else {
-			info.index = "lazy"
-		}
-	}
-	return info
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.health())
-}
-
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "serve: reload requires POST"})
-		return
-	}
-	var body struct {
-		Path string `json:"path"`
-		// Artifact retargets the warm-start source for this and all
-		// subsequent reloads before the new snapshot is built: a string
-		// points at a new artifact file, "" disables the warm path. When
-		// the field is absent the configured source is kept, so a plain
-		// {"path": …} reload behaves exactly as before.
-		Artifact *string `json:"artifact"`
-	}
-	if r.Body != nil && r.ContentLength != 0 {
-		if err := decodeBody(w, r, maxReloadBody, &body); err != nil {
-			writeErr(w, err)
-			return
-		}
-	}
-	// Retarget the warm-start source before building the new snapshot
-	// (the retarget is what the load should warm from), but restore it
-	// if the load fails: a 500 reload must leave every piece of
-	// serving state — snapshot, checkpoint path, artifact source —
-	// exactly as it was. swapMu makes the retarget+load+rollback
-	// sequence atomic against other /reload requests, so a failing
-	// reload's rollback can never clobber a concurrent reload's
-	// freshly set source.
-	s.swapMu.Lock()
-	defer s.swapMu.Unlock()
-	restoreArtifact := func() {}
-	if body.Artifact != nil {
-		prev := s.eng.ArtifactPath()
-		s.eng.SetArtifactPath(*body.Artifact)
-		restoreArtifact = func() { s.eng.SetArtifactPath(prev) }
-	}
-	var (
-		v   uint64
-		err error
-	)
-	if body.Path != "" {
-		v, err = s.Load(body.Path)
-	} else {
-		v, err = s.Reload()
-	}
-	if err != nil {
-		restoreArtifact()
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-		return
-	}
-	// Answer from the snapshot the reload just installed — including
-	// its warm-start outcome, so a reload that switched artifacts (or
-	// lost one) reports the state /healthz will now show.
-	st, _ := s.eng.Snapshot()
-	writeJSON(w, http.StatusOK, reloadBody{
-		Version:      v,
-		ModelVersion: st.ModelVersion,
-		WarmStart:    st.WarmStart,
-		WarmNote:     st.WarmNote,
-	})
 }
 
 // reloadBody is the successful /reload response.

@@ -33,7 +33,7 @@ type endpointMetrics struct {
 }
 
 // modelMetrics instruments one model server's HTTP surface: the
-// shared middleware every layer (Server, Router, Registry) routes
+// shared middleware every layer (Router, Registry) routes
 // requests through. It owns the per-endpoint request/latency/error
 // handles and, when an access logger is wired, emits one structured
 // JSON line per request.
@@ -74,13 +74,8 @@ func newModelMetrics(reg *obs.Registry, model string, log *obs.Logger, endpoints
 	return mm
 }
 
-// countWire bills one wire-transport frame. Nil-safe like serve, so
-// hand-wired servers without instruments keep working.
-func (mm *modelMetrics) countWire() {
-	if mm != nil {
-		mm.reqWire.Inc()
-	}
-}
+// countWire bills one wire-transport frame.
+func (mm *modelMetrics) countWire() { mm.reqWire.Inc() }
 
 func newEndpointMetrics(reg *obs.Registry, model, ep string) *endpointMetrics {
 	em := &endpointMetrics{}
@@ -158,14 +153,8 @@ func annotBatch(ctx context.Context, id uint64) {
 // bump, one latency observation, and (when an access logger is wired)
 // one JSON request line carrying the process-wide monotonic request
 // id. endpoint must be one of the pre-registered patterns; anything
-// else folds into the catch-all. A nil receiver (a hand-wired server
-// with no instruments) serves h directly — observation is optional
-// everywhere by construction.
+// else folds into the catch-all.
 func (mm *modelMetrics) serve(endpoint string, h http.Handler, w http.ResponseWriter, r *http.Request) {
-	if mm == nil {
-		h.ServeHTTP(w, r)
-		return
-	}
 	em := mm.endpoints[endpoint]
 	if em == nil {
 		endpoint, em = epOther, mm.endpoints[epOther]

@@ -13,13 +13,13 @@ import (
 
 // overloadServer builds a loaded single-model server with the given
 // overload options.
-func overloadServer(t *testing.T, opts Options) *Server {
+func overloadServer(t *testing.T, opts Options) *Router {
 	t.Helper()
 	ds := testDataset(t, false)
 	m := testModel(t, ds, 2, "mean")
 	srv := NewServer(ds, opts)
 	t.Cleanup(srv.Close)
-	if _, err := srv.eng.Install(m); err != nil {
+	if _, err := srv.Engine().Install(m); err != nil {
 		t.Fatal(err)
 	}
 	return srv
@@ -165,8 +165,8 @@ func TestDeadlineExpires(t *testing.T) {
 }
 
 // TestShedQueuePressure forces the queue-depth probe past the
-// high-water mark on all three serving layers — Server, Router and
-// Registry dispatch — and expects early 429s with reason "shed" plus
+// high-water mark on all three serving layers — an unsharded model,
+// a sharded one and Registry dispatch — and expects early 429s with reason "shed" plus
 // a growing gsgcn_shed_total, then full recovery once pressure drops.
 func TestShedQueuePressure(t *testing.T) {
 	ds := testDataset(t, false)
@@ -204,7 +204,7 @@ func TestShedQueuePressure(t *testing.T) {
 		for _, pressured := range []bool{true, false} {
 			srv := NewServer(ds, Options{Workers: 1, ShedQueueHW: 4})
 			defer srv.Close()
-			if _, err := srv.eng.Install(m); err != nil {
+			if _, err := srv.Engine().Install(m); err != nil {
 				t.Fatal(err)
 			}
 			if pressured {
@@ -251,7 +251,7 @@ func TestShedQueuePressure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := srv.eng.Install(m); err != nil {
+			if _, err := srv.Engine().Install(m); err != nil {
 				t.Fatal(err)
 			}
 			if pressured {
@@ -329,7 +329,7 @@ func TestSheddingPreservesAnswerBytes(t *testing.T) {
 	build := func(opts Options) *httptest.Server {
 		srv := NewServer(ds, opts)
 		t.Cleanup(srv.Close)
-		if _, err := srv.eng.Install(m); err != nil {
+		if _, err := srv.Engine().Install(m); err != nil {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(srv)

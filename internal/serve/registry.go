@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"sort"
@@ -14,8 +13,8 @@ import (
 )
 
 // Registry serves N independent models from one process. Each model
-// is a full single-model Server — its own Engine, checkpoint,
-// optional warm-start artifact, ANN configuration, micro-batcher and
+// is a Router with one or more shards — its own Engines, checkpoint,
+// optional warm-start artifact, ANN configuration, micro-batchers and
 // snapshot/reload lifecycle — keyed by name and reached as
 // /models/{name}/embed|predict|topk|healthz|reload. The unprefixed
 // PR 2–4 routes keep working against a configured default model and
@@ -36,7 +35,7 @@ import (
 // identical data serve from one in-memory graph and feature table.
 type Registry struct {
 	mu     sync.RWMutex
-	models map[string]ModelServer
+	models map[string]*Router
 	order  []string // registration order, for stable listings
 	def    string
 
@@ -56,44 +55,11 @@ type Registry struct {
 	inst      *modelMetrics
 }
 
-// ModelServer is what the registry requires of one registered model:
-// the full HTTP surface plus the lifecycle and status hooks. Both the
-// single-engine Server and the sharded Router implement it, so a
-// registry can mix unsharded and sharded models freely — the
-// dispatch, health listing and fleet reload code never distinguish
-// them.
-type ModelServer interface {
-	http.Handler
-	Load(path string) (uint64, error)
-	Reload() (uint64, error)
-	CheckpointPath() string
-	Close()
-	health() healthBody
-	modelInfo() modelInfo
-	instruments() *modelMetrics
-
-	// The wire-native query paths (see wire.go): the binary transport
-	// dispatches straight to these, bypassing HTTP parsing but running
-	// the same admission gate, deadline bound and micro-batcher.
-	wireEmbed(ctx context.Context, ids []int) (*EmbedResult, error)
-	wirePredict(ctx context.Context, ids []int) (*PredictResult, error)
-	wireTopK(q topkQuery, kSet bool) (*TopKResult, error)
-}
-
-// modelInfo is the configuration summary a ModelServer reports for
-// the registry's status surface (everything health() doesn't cover).
-type modelInfo struct {
-	artifact   string
-	annDefault bool
-	index      string // "built" | "lazy" | "none"
-	shards     int    // 0 = unsharded
-}
-
 // NewRegistry returns an empty registry. Add at least one model and
 // set (or default) a default before serving legacy routes.
 func NewRegistry() *Registry {
 	r := &Registry{
-		models: make(map[string]ModelServer),
+		models: make(map[string]*Router),
 		data:   make(map[uint64]*datasets.Dataset),
 		dataFP: make(map[*datasets.Dataset]uint64),
 		obs:    obs.NewRegistry(),
@@ -137,58 +103,30 @@ func validModelName(name string) bool {
 	return !strings.ContainsAny(name, "/\\ \t\n?#%")
 }
 
-// Add registers a model: a fresh single-model Server over ds with its
-// own options. The first model added becomes the default until
-// SetDefault says otherwise. When ds has the same content fingerprint
-// as an earlier model's dataset, the earlier (identical) in-memory
-// dataset is shared instead — embeddings are a pure function of
-// (weights, graph, features), so sharing bit-equal data can never
-// change an answer, and a fleet of models trained on one graph costs
-// one graph's memory. No checkpoint is loaded yet; call Load on the
-// returned server.
-func (r *Registry) Add(name string, ds *datasets.Dataset, opts Options) (*Server, error) {
-	opts = r.observe(name, opts)
-	var srv *Server
-	err := r.register(name, ds, func(ds *datasets.Dataset) (ModelServer, error) {
-		srv = NewServer(ds, opts)
-		return srv, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return srv, nil
+// Add registers an unsharded model: AddSharded with one shard.
+func (r *Registry) Add(name string, ds *datasets.Dataset, opts Options) (*Router, error) {
+	return r.AddSharded(name, ds, opts, 1, 0)
 }
 
-// AddSharded registers a sharded model: a Router scatter-gathering
-// over `shards` shard engines whose vertex ownership is keyed by
-// seed. Everything Add does — name validation, dataset dedup, default
-// election — applies identically; the registered model additionally
-// serves the /shards operations (see Router).
+// AddSharded registers a model served by a Router over `shards` shard
+// engines whose vertex ownership is keyed by seed (shards == 1 is an
+// unsharded model, which serves no shard operations). The first model
+// added becomes the default until SetDefault says otherwise. When ds
+// has the same content fingerprint as an earlier model's dataset, the
+// earlier (identical) in-memory dataset is shared instead —
+// embeddings are a pure function of (weights, graph, features), so
+// sharing bit-equal data can never change an answer, and a fleet of
+// models trained on one graph costs one graph's memory. No checkpoint
+// is loaded yet; call Load on the returned router.
 func (r *Registry) AddSharded(name string, ds *datasets.Dataset, opts Options, shards int, seed uint64) (*Router, error) {
 	opts = r.observe(name, opts)
-	var rt *Router
-	err := r.register(name, ds, func(ds *datasets.Dataset) (ModelServer, error) {
-		var err error
-		rt, err = NewRouter(ds, opts, shards, seed)
-		return rt, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rt, nil
-}
-
-// register is the shared Add/AddSharded body: validate the name,
-// dedupe the dataset by content fingerprint, build the model server
-// over the (possibly shared) dataset, and wire it into the listings.
-func (r *Registry) register(name string, ds *datasets.Dataset, build func(*datasets.Dataset) (ModelServer, error)) error {
 	if !validModelName(name) {
-		return fmt.Errorf("serve: invalid model name %q", name)
+		return nil, fmt.Errorf("serve: invalid model name %q", name)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.models[name]; dup {
-		return fmt.Errorf("serve: model %q already registered", name)
+		return nil, fmt.Errorf("serve: model %q already registered", name)
 	}
 	fp, seen := r.dataFP[ds]
 	if !seen {
@@ -200,16 +138,16 @@ func (r *Registry) register(name string, ds *datasets.Dataset, build func(*datas
 	} else {
 		r.data[fp] = ds
 	}
-	srv, err := build(ds)
+	rt, err := NewRouter(ds, opts, shards, seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	r.models[name] = srv
+	r.models[name] = rt
 	r.order = append(r.order, name)
 	if r.def == "" {
 		r.def = name
 	}
-	return nil
+	return rt, nil
 }
 
 // SetDefault names the model behind the unprefixed legacy routes.
@@ -231,8 +169,8 @@ func (r *Registry) Default() string {
 	return r.def
 }
 
-// Get returns the named model's server.
-func (r *Registry) Get(name string) (ModelServer, bool) {
+// Get returns the named model's router.
+func (r *Registry) Get(name string) (*Router, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	srv, ok := r.models[name]
@@ -265,7 +203,7 @@ func (r *Registry) Close() {
 func (r *Registry) ReloadAll() map[string]error {
 	r.mu.RLock()
 	names := append([]string(nil), r.order...)
-	servers := make([]ModelServer, len(names))
+	servers := make([]*Router, len(names))
 	for i, n := range names {
 		servers[i] = r.models[n]
 	}
@@ -281,7 +219,7 @@ func (r *Registry) ReloadAll() map[string]error {
 
 // modelStatus is one model's entry in the /models listing and the
 // body of /models/{name}/healthz: the per-model health surface. It
-// embeds the legacy healthBody — assembled by the same Server.health
+// embeds the legacy healthBody — assembled by the same Router.health
 // the unprefixed /healthz serves — so the extended body is a field
 // superset of the legacy one by construction, and adds what only the
 // registry knows: the name, default flag, configured sources, and
@@ -302,7 +240,7 @@ type modelStatus struct {
 }
 
 // statusFor assembles the live status of one registered model.
-func (r *Registry) statusFor(name string, srv ModelServer) modelStatus {
+func (r *Registry) statusFor(name string, srv *Router) modelStatus {
 	info := srv.modelInfo()
 	return modelStatus{
 		Name:       name,
@@ -330,7 +268,7 @@ func (r *Registry) handleList(w http.ResponseWriter, req *http.Request) {
 	}
 	r.mu.RLock()
 	names := append([]string(nil), r.order...)
-	servers := make([]ModelServer, len(names))
+	servers := make([]*Router, len(names))
 	for i, n := range names {
 		servers[i] = r.models[n]
 	}
@@ -389,7 +327,7 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 			// the legacy /healthz fields, plus index residency), also
 			// served at the bare /models/{name}. Billed to the model's
 			// /healthz endpoint — it is that model's health surface.
-			srv.instruments().serve("/healthz", http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			srv.inst.serve("/healthz", http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 				if req.Method != http.MethodGet {
 					writeErr(w, fmt.Errorf("%w: %s", errMethod, req.Method))
 					return
@@ -415,8 +353,8 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		if sub == "shards" || strings.HasPrefix(sub, "shards/") {
 			// Shard operations exist only on sharded models; the Router
 			// hand-routes the exact sub-path itself.
-			if _, sharded := srv.(*Router); !sharded {
-				srv.instruments().serve(epOther, http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			if srv.Shards() == 1 {
+				srv.inst.serve(epOther, http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 					writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("serve: model %q is not sharded", name)})
 				}), w, req)
 				return

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gsgcn/internal/ann"
 	"gsgcn/internal/artifact"
 	"gsgcn/internal/core"
 	"gsgcn/internal/datasets"
@@ -17,25 +18,39 @@ import (
 	"gsgcn/internal/partition"
 )
 
-// Router is the scatter-gather front end of a sharded serving fleet:
-// N shard Engines, each holding only the embedding rows of the
-// vertices it owns under a deterministic partition.ShardMap, behind
-// the exact same HTTP surface as a single-engine Server.
+// Router is the one model server: N ≥ 1 shard Engines, each holding
+// only the embedding rows of the vertices it owns under a
+// deterministic partition.ShardMap, behind one HTTP/JSON surface.
+//
+// Endpoints:
+//
+//	GET|POST /embed    ?ids=0,1,2     → embedding vectors
+//	GET|POST /predict  ?ids=0,1,2     → class labels + probabilities
+//	GET      /topk     ?id=7&k=10     → most cosine-similar vertices
+//	                   &mode=exact|ann&ef=64 (ann: HNSW beam search)
+//	GET      /healthz                 → liveness + serving stats
+//	GET      /metrics                 → Prometheus text exposition
+//	POST     /reload   {"path": "…"}  → hot-swap a new checkpoint
+//	GET      /shards                  → per-shard status (N > 1 only)
+//	POST     /shards/{i}/stop|start   → take a shard out of / into service
+//
+// An unsharded model is the 1-shard case: its one engine owns the
+// whole graph, and it serves no shard fields, routes or series, so its
+// surface is the plain single-model one.
 //
 // Routing is partition-aware. /embed and /predict group the queried
-// ids by owning shard, scatter one sub-query per owner, and stitch
-// the answers back in request order; every id touches exactly one
-// shard. /topk first fetches the query vertex's embedding row from
-// its owner, then scatters a vector probe to every live shard and
-// merges the per-shard candidates through the same bounded-skiplist
-// total order (descending score, ascending id) the single-engine scan
-// uses — the order is insertion-order-insensitive, so in exact mode
-// the merged answer is byte-identical to the single-process one at
-// every shard count and Workers setting (test-enforced). In ann mode
-// each shard searches its own HNSW index: deterministic at a fixed
-// shard count, and byte-identical to the single process at shards=1,
-// but not across shard counts (an index over a shard's rows is a
-// different graph than one over all rows — see docs/API.md).
+// ids by owning shard and answer through each owner's micro-batcher;
+// when one shard owns every id (always, at N = 1) its answer is the
+// answer, otherwise the sub-answers are stitched back in request
+// order. /topk takes the query vertex's row from its owner, probes
+// every live shard, and merges the per-shard lists with ann.Merge
+// under ann.Before (descending score, ascending id). Each shard's rows
+// ascend in global id, so in exact mode the merged answer is
+// byte-identical at every shard count and Workers setting
+// (test-enforced). In ann mode each shard searches its own HNSW index:
+// deterministic at a fixed shard count, but not across shard counts
+// (an index over a shard's rows is a different graph than one over all
+// rows — see docs/API.md).
 //
 // Failure semantics are degraded-not-dead: a stopped shard removes
 // only its vertices from service. /healthz always answers 200 and
@@ -49,55 +64,65 @@ type Router struct {
 	opts    Options // resolved; ShardCount/ShardSeed describe the fleet
 	sm      partition.ShardMap
 	engines []*Engine
-	// bats micro-batch each shard's scattered sub-queries, exactly as
-	// a single-engine server batches whole queries: concurrent
-	// requests whose ids land on one shard coalesce into one gather
-	// there. Per-shard counts aggregate into the router's health body.
+	// bats micro-batch each shard's sub-queries: concurrent requests
+	// whose ids land on one shard coalesce into one gather there.
+	// Per-shard counts aggregate into the health body.
 	bats []*batcher
 	down []atomic.Bool
 
-	// gate is the fleet's admission control; its depth probe reads the
-	// deepest shard queue, because the scatter-gather answers at the
-	// pace of its slowest shard.
+	// gate is the model's admission control; its depth probe reads the
+	// deepest shard queue, because a scatter answers at the pace of its
+	// slowest shard.
 	gate *admitGate
 
 	closed atomic.Bool
 
 	// inst is the shared obs middleware; degraded counts queries
 	// refused because their owning shard was down plus top-K answers
-	// assembled while any shard was down (observation-only).
+	// assembled while any shard was down (observation-only; exported
+	// only when N > 1).
 	inst     *modelMetrics
 	degraded *obs.Counter
+
+	// routes maps each per-model endpoint to its handler, bound once
+	// here so that dispatching a request allocates nothing.
+	routes map[string]http.HandlerFunc
 
 	mu       sync.Mutex
 	ckptPath string
 
-	// artMu guards artBase, the fleet-wide artifact base path each
-	// shard derives its own artifact.ShardPath from.
+	// artMu guards artBase, the model's artifact base path; each shard
+	// of a fleet derives its own artifact.ShardPath from it.
 	artMu   sync.Mutex
 	artBase string
 
-	// swapMu serializes whole /reload sequences, exactly as Server's
-	// does: retarget → load → rollback must be atomic against other
-	// reloads, and is never taken on the query path.
+	// swapMu serializes whole /reload sequences (artifact retarget →
+	// load → rollback on failure) so concurrent reloads cannot
+	// interleave their retargets and restores. It is never taken on
+	// the query or health paths.
 	swapMu sync.Mutex
 
-	// cache memoizes merged /topk answers per (version, query) — the
-	// router-level mirror of the engine cache. Answers computed while
-	// any shard was down are never cached: they are partial by
+	// cache memoizes merged /topk answers. Answers computed while any
+	// shard was down are never memoized: they are partial by
 	// construction and must not outlive the outage.
-	cacheMu sync.Mutex
-	cache   map[topkKey]*TopKResult
+	cache topkMemo
 }
 
-// NewRouter builds a sharded serving fleet over ds: shards Engines
-// whose vertex ownership is the deterministic ShardMap{shards, seed}.
-// Options.ArtifactPath, when set, is the fleet-wide artifact base —
-// shard i warm-starts from artifact.ShardPath(base, i, shards). With
-// shards == 1 the single engine is an ordinary whole-graph engine
-// (and the unmodified base artifact path), so a 1-shard router is
-// byte-compatible with a plain Server in every mode. No checkpoint is
-// loaded yet; call Load before serving queries.
+// NewServer builds an unsharded model server over ds: a Router with
+// one shard. No checkpoint is loaded yet; call Load (or POST /reload
+// with a path) before serving queries.
+func NewServer(ds *datasets.Dataset, opts Options) *Router {
+	rt, _ := NewRouter(ds, opts, 1, 0)
+	return rt
+}
+
+// NewRouter builds a model server over ds with shards Engines whose
+// vertex ownership is the deterministic ShardMap{shards, seed}.
+// Options.ArtifactPath, when set, is the artifact base: with shards > 1
+// shard i warm-starts from artifact.ShardPath(base, i, shards), with
+// one shard the engine is an ordinary whole-graph engine reading the
+// base path itself. No checkpoint is loaded yet; call Load before
+// serving queries.
 func NewRouter(ds *datasets.Dataset, opts Options, shards int, seed uint64) (*Router, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("serve: shard count must be >= 1, got %d", shards)
@@ -110,15 +135,17 @@ func NewRouter(ds *datasets.Dataset, opts Options, shards int, seed uint64) (*Ro
 	opts.ShardIndex = 0
 	opts.ShardSeed = seed
 	rt := &Router{
-		ds:      ds,
-		opts:    opts,
-		sm:      partition.ShardMap{Shards: shards, Seed: seed},
-		engines: make([]*Engine, shards),
-		bats:    make([]*batcher, shards),
-		down:    make([]atomic.Bool, shards),
-		artBase: opts.ArtifactPath,
-		cache:   make(map[topkKey]*TopKResult),
+		ds:       ds,
+		opts:     opts,
+		sm:       partition.ShardMap{Shards: shards, Seed: seed},
+		engines:  make([]*Engine, shards),
+		bats:     make([]*batcher, shards),
+		down:     make([]atomic.Bool, shards),
+		artBase:  opts.ArtifactPath,
+		cache:    newTopkMemo(opts.TopKCache),
+		degraded: new(obs.Counter),
 	}
+	model := map[string]string{"model": opts.ModelName}
 	for i := range rt.engines {
 		o := opts
 		o.ShardIndex = i
@@ -127,7 +154,6 @@ func NewRouter(ds *datasets.Dataset, opts Options, shards int, seed uint64) (*Ro
 		}
 		rt.engines[i] = NewEngine(ds, o)
 		rt.bats[i] = newBatcher(rt.engines[i], opts.MaxBatch)
-		rt.bats[i].instrument(opts.Obs, map[string]string{"model": opts.ModelName, "shard": strconv.Itoa(i)})
 	}
 	rt.gate = newAdmitGate(opts, func() int {
 		max := 0
@@ -138,42 +164,71 @@ func NewRouter(ds *datasets.Dataset, opts Options, shards int, seed uint64) (*Ro
 		}
 		return max
 	})
-	rt.gate.instrument(opts.Obs, map[string]string{"model": opts.ModelName})
-	rt.inst = newModelMetrics(opts.Obs, opts.ModelName, opts.AccessLog, endpointPatterns(perModelEndpoints, shardEndpoints))
-	rt.degraded = opts.Obs.Counter("gsgcn_degraded_queries_total",
-		"Queries refused because their owning shard was down, plus top-K answers assembled without a down shard's vertices.",
-		map[string]string{"model": opts.ModelName})
-	for i := range rt.engines {
-		idx := i
-		opts.Obs.GaugeFunc("gsgcn_shard_up", "1 when the shard is in service, 0 while stopped.",
-			map[string]string{"model": opts.ModelName, "shard": strconv.Itoa(idx)},
-			func() float64 {
-				if rt.down[idx].Load() {
-					return 0
-				}
-				return 1
-			})
+	rt.gate.instrument(opts.Obs, model)
+	endpoints := [][]RouteDoc{perModelEndpoints}
+	for i, b := range rt.bats {
+		labels := model
+		if shards > 1 {
+			labels = map[string]string{"model": opts.ModelName, "shard": strconv.Itoa(i)}
+		}
+		b.instrument(opts.Obs, labels)
+	}
+	if shards > 1 {
+		endpoints = append(endpoints, shardEndpoints)
+		rt.degraded = opts.Obs.Counter("gsgcn_degraded_queries_total",
+			"Queries refused because their owning shard was down, plus top-K answers assembled without a down shard's vertices.",
+			model)
+		for i := range rt.engines {
+			idx := i
+			opts.Obs.GaugeFunc("gsgcn_shard_up", "1 when the shard is in service, 0 while stopped.",
+				map[string]string{"model": opts.ModelName, "shard": strconv.Itoa(idx)},
+				func() float64 {
+					if rt.down[idx].Load() {
+						return 0
+					}
+					return 1
+				})
+		}
+	}
+	rt.inst = newModelMetrics(opts.Obs, opts.ModelName, opts.AccessLog, endpointPatterns(endpoints...))
+	rt.routes = map[string]http.HandlerFunc{
+		"/embed":   rt.handleEmbed,
+		"/predict": rt.handlePredict,
+		"/topk":    rt.handleTopK,
+		"/healthz": rt.handleHealthz,
+		"/metrics": rt.inst.handleMetrics,
+		"/reload":  rt.handleReload,
 	}
 	return rt, nil
 }
 
-// Shards returns the fleet's shard count.
+// Shards returns the model's shard count (1 = unsharded).
 func (rt *Router) Shards() int { return len(rt.engines) }
 
 // ShardSeed returns the seed keying the vertex-shard assignment.
 func (rt *Router) ShardSeed() uint64 { return rt.opts.ShardSeed }
 
-// Engine returns shard i's engine (for tests and direct inspection).
-func (rt *Router) Engine(i int) *Engine { return rt.engines[i] }
+// Shard returns shard i's engine (for tests and direct inspection).
+func (rt *Router) Shard(i int) *Engine { return rt.engines[i] }
+
+// Engine returns the whole-graph engine of an unsharded model, nil
+// when the model is sharded (no one engine holds every row then).
+func (rt *Router) Engine() *Engine {
+	if len(rt.engines) > 1 {
+		return nil
+	}
+	return rt.engines[0]
+}
 
 // Load reads the checkpoint at path once and installs the model
-// across the whole fleet, returning the fleet's new version.
+// across every shard, returning the new version. It is remembered as
+// the default for subsequent Reload calls.
 func (rt *Router) Load(path string) (uint64, error) {
 	m, err := core.LoadModelFile(path)
 	if err != nil {
 		return 0, err
 	}
-	v, err := rt.installAll(m)
+	v, err := rt.Install(m)
 	if err != nil {
 		return 0, err
 	}
@@ -183,12 +238,10 @@ func (rt *Router) Load(path string) (uint64, error) {
 	return v, nil
 }
 
-// Reload re-reads the last loaded checkpoint path and installs the
-// fresh model across the fleet.
+// Reload re-reads the last loaded checkpoint path and swaps the fresh
+// model in without interrupting in-flight requests.
 func (rt *Router) Reload() (uint64, error) {
-	rt.mu.Lock()
-	path := rt.ckptPath
-	rt.mu.Unlock()
+	path := rt.CheckpointPath()
 	if path == "" {
 		return 0, fmt.Errorf("serve: no checkpoint path to reload")
 	}
@@ -196,29 +249,25 @@ func (rt *Router) Reload() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return rt.installAll(m)
+	return rt.Install(m)
 }
 
-// CheckpointPath returns the checkpoint the router last loaded.
+// CheckpointPath returns the checkpoint the model last loaded (empty
+// before the first Load).
 func (rt *Router) CheckpointPath() string {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return rt.ckptPath
 }
 
-// Install publishes an in-memory model across the whole fleet.
-func (rt *Router) Install(m *core.Model) (uint64, error) {
-	return rt.installAll(m)
-}
-
-// installAll installs one model on every shard engine in lockstep.
-// The expensive whole-graph table compute is shared: the first shard
-// that misses its warm-start artifact runs it, every other cold shard
-// compacts from the same tables. Each engine bumps its version by
-// exactly one per fleet install, and the only failure mode
+// Install publishes an in-memory model on every shard engine in
+// lockstep. The expensive whole-graph table compute is shared: the
+// first shard that misses its warm-start artifact runs it, every other
+// cold shard compacts from the same tables. Each engine bumps its
+// version by exactly one per install, and the only failure mode
 // (model/dataset shape mismatch) is identical across shards, so shard
 // versions can never diverge.
-func (rt *Router) installAll(m *core.Model) (uint64, error) {
+func (rt *Router) Install(m *core.Model) (uint64, error) {
 	var (
 		once  sync.Once
 		emb   *mat.Dense
@@ -231,24 +280,20 @@ func (rt *Router) installAll(m *core.Model) (uint64, error) {
 	var version uint64
 	for i, e := range rt.engines {
 		v, err := e.InstallShared(m, full)
+		if err != nil && len(rt.engines) > 1 {
+			err = fmt.Errorf("serve: shard %d: %w", i, err)
+		}
 		if err != nil {
-			return 0, fmt.Errorf("serve: shard %d: %w", i, err)
+			return 0, err
 		}
 		version = v
 	}
-	rt.cacheMu.Lock()
-	for k := range rt.cache {
-		if k.version != version {
-			delete(rt.cache, k)
-		}
-	}
-	rt.cacheMu.Unlock()
+	rt.cache.dropStale(version)
 	return version, nil
 }
 
-// Close marks the router closed and stops every shard's micro-batch
-// dispatcher; subsequent queries fail with the same retryable error a
-// closed single-engine server returns.
+// Close marks the model closed and stops every shard's micro-batch
+// dispatcher; subsequent queries fail with a retryable 503.
 func (rt *Router) Close() {
 	rt.closed.Store(true)
 	for _, b := range rt.bats {
@@ -276,31 +321,55 @@ func (rt *Router) StartShard(i int) error {
 	return nil
 }
 
-// group assigns each queried id to its owning shard, failing with a
-// retryable 503 when any owner is down — partial answers to point
-// queries are never served. Range errors use the exact text a
-// single-engine server produces, so malformed requests get identical
-// bytes from both deployments.
-func (rt *Router) group(ids []int) (groups [][]int, owners []int, err error) {
+// admitted runs the checks every query makes before any shard work,
+// in one order at every shard count: closed, then no model loaded,
+// then per id its range and whether its owner is down. It returns
+// shard 0's snapshot, whose vertex count is the graph's.
+func (rt *Router) admitted(ids []int) (*State, error) {
 	if rt.closed.Load() {
-		return nil, nil, errClosed
+		return nil, errClosed
 	}
-	total := rt.ds.G.NumVertices()
+	st, err := rt.engines[0].Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	if len(ids) == 0 {
+		return nil, fmt.Errorf("serve: no ids given")
+	}
+	for _, id := range ids {
+		if id < 0 || id >= st.total {
+			return nil, fmt.Errorf("serve: vertex id %d out of range [0,%d)", id, st.total)
+		}
+		if o := rt.sm.Assign(int32(id)); rt.down[o].Load() {
+			rt.degraded.Inc()
+			return nil, fmt.Errorf("%w: vertex id %d is owned by stopped shard %d", errShardDown, id, o)
+		}
+	}
+	return st, nil
+}
+
+// group assigns admitted ids to their owning shards. When one shard
+// owns every id (always, unsharded) it returns that shard and no
+// grouping, so the caller can hand it the request unchanged.
+func (rt *Router) group(ids []int) (single int, groups [][]int, owners []int) {
+	single = rt.sm.Assign(int32(ids[0]))
+	for _, id := range ids[1:] {
+		if rt.sm.Assign(int32(id)) != single {
+			single = -1
+			break
+		}
+	}
+	if single >= 0 {
+		return single, nil, nil
+	}
 	groups = make([][]int, len(rt.engines))
 	owners = make([]int, len(ids))
 	for i, id := range ids {
-		if id < 0 || id >= total {
-			return nil, nil, fmt.Errorf("serve: vertex id %d out of range [0,%d)", id, total)
-		}
 		o := rt.sm.Assign(int32(id))
-		if rt.down[o].Load() {
-			rt.degraded.Inc()
-			return nil, nil, fmt.Errorf("%w: vertex id %d is owned by stopped shard %d", errShardDown, id, o)
-		}
 		owners[i] = o
 		groups[o] = append(groups[o], id)
 	}
-	return groups, owners, nil
+	return -1, groups, owners
 }
 
 // scatter runs fn once per shard that owns any of the grouped ids,
@@ -327,33 +396,35 @@ func (rt *Router) scatter(groups [][]int, fn func(shard int, ids []int) error) e
 	return nil
 }
 
-// Embed answers an embedding query by scattering the ids to their
-// owning shards and stitching the vectors back in request order. The
-// response is byte-identical to a single-engine server's: vertices
-// and their rows are the same bits wherever they live, and the
-// version counters advance in lockstep.
+// Embed answers an embedding query. The response is byte-identical at
+// every shard count: vertices and their rows are the same bits
+// wherever they live, and the version counters advance in lockstep.
 func (rt *Router) Embed(ids []int) (*EmbedResult, error) {
-	res, _, err := rt.embed(context.Background(), ids)
+	res, _, _, err := rt.embed(context.Background(), ids)
 	return res, err
 }
 
-// embed is Embed plus the scatter fan-out width (shards that owned
-// any queried id), which the HTTP layer records in the request log.
-// ctx bounds every scattered sub-query: when it ends, each shard's
+// embed is Embed plus the scatter fan-out width and the micro-batch
+// id of a single-owner answer, which the HTTP layer records in the
+// request log. ctx bounds every sub-query: when it ends, each shard's
 // submit gives up and the gather fails with the context's error.
-func (rt *Router) embed(ctx context.Context, ids []int) (*EmbedResult, int, error) {
-	groups, owners, err := rt.group(ids)
-	if err != nil {
-		return nil, 0, err
+func (rt *Router) embed(ctx context.Context, ids []int) (*EmbedResult, int, uint64, error) {
+	if _, err := rt.admitted(ids); err != nil {
+		return nil, 0, 0, err
+	}
+	single, groups, owners := rt.group(ids)
+	if single >= 0 {
+		res, batch, err := rt.bats[single].Embed(ctx, ids)
+		return res, 1, batch, err
 	}
 	parts := make([]*EmbedResult, len(rt.engines))
-	err = rt.scatter(groups, func(s int, sub []int) error {
+	err := rt.scatter(groups, func(s int, sub []int) error {
 		res, _, err := rt.bats[s].Embed(ctx, sub)
 		parts[s] = res
 		return err
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	first := parts[owners[0]]
 	res := &EmbedResult{
@@ -368,7 +439,7 @@ func (rt *Router) embed(ctx context.Context, ids []int) (*EmbedResult, int, erro
 		res.Vectors[i] = parts[o].Vectors[pos[o]]
 		pos[o]++
 	}
-	return res, fanout(groups), nil
+	return res, fanout(groups), 0, nil
 }
 
 // fanout counts the shards a grouped query actually scattered to.
@@ -382,26 +453,30 @@ func fanout(groups [][]int) int {
 	return n
 }
 
-// Predict answers a prediction query by the same scatter/stitch.
+// Predict answers a prediction query by the same routing as Embed.
 func (rt *Router) Predict(ids []int) (*PredictResult, error) {
-	res, _, err := rt.predict(context.Background(), ids)
+	res, _, _, err := rt.predict(context.Background(), ids)
 	return res, err
 }
 
-// predict is Predict plus the scatter fan-out width.
-func (rt *Router) predict(ctx context.Context, ids []int) (*PredictResult, int, error) {
-	groups, owners, err := rt.group(ids)
-	if err != nil {
-		return nil, 0, err
+// predict is Predict plus the fan-out width and single-owner batch id.
+func (rt *Router) predict(ctx context.Context, ids []int) (*PredictResult, int, uint64, error) {
+	if _, err := rt.admitted(ids); err != nil {
+		return nil, 0, 0, err
+	}
+	single, groups, owners := rt.group(ids)
+	if single >= 0 {
+		res, batch, err := rt.bats[single].Predict(ctx, ids)
+		return res, 1, batch, err
 	}
 	parts := make([]*PredictResult, len(rt.engines))
-	err = rt.scatter(groups, func(s int, sub []int) error {
+	err := rt.scatter(groups, func(s int, sub []int) error {
 		res, _, err := rt.bats[s].Predict(ctx, sub)
 		parts[s] = res
 		return err
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	first := parts[owners[0]]
 	res := &PredictResult{
@@ -419,175 +494,130 @@ func (rt *Router) predict(ctx context.Context, ids []int) (*PredictResult, int, 
 		res.Probs[i] = parts[o].Probs[pos[o]]
 		pos[o]++
 	}
-	return res, fanout(groups), nil
+	return res, fanout(groups), 0, nil
 }
 
-// TopK answers a similar-nodes query in the router's default mode.
+// TopK answers a similar-nodes query in the model's default mode.
 func (rt *Router) TopK(id, k int) (*TopKResult, error) {
 	return rt.TopKWith(id, k, ModeAuto, 0)
 }
 
-// TopKWith is the scatter-gather top-K: fetch the query vector from
-// the owning shard, probe every live shard, merge under the tkBefore
-// total order. Validation, mode resolution, ef defaulting and the
-// exact-scan fallback replicate Engine.TopKWith bit-for-bit against
-// the global vertex count, so the 1-shard router and the N-shard
-// exact mode are byte-identical to a single process.
+// TopKWith answers a similar-nodes query: take the query vertex's row
+// from its owner, probe every live shard, and merge the per-shard
+// lists with ann.Merge. Validation and mode resolution are the
+// engine's own (planTopK) against the global vertex count, so every
+// shard count answers exact mode byte-identically. With one live shard
+// its list is the answer. Results are memoized per (snapshot version,
+// id, k, mode, ef) while every shard is up.
 func (rt *Router) TopKWith(id, k int, mode string, ef int) (*TopKResult, error) {
-	if rt.closed.Load() {
-		return nil, errClosed
-	}
-	total := rt.ds.G.NumVertices()
-	if id < 0 || id >= total {
-		return nil, fmt.Errorf("serve: vertex id %d out of range [0,%d)", id, total)
-	}
-	owner := rt.sm.Assign(int32(id))
-	if rt.down[owner].Load() {
-		rt.degraded.Inc()
-		return nil, fmt.Errorf("%w: vertex id %d is owned by stopped shard %d", errShardDown, id, owner)
-	}
-	st, q, qn, err := rt.engines[owner].snapshotRow(id)
+	st, err := rt.admitted([]int{id})
 	if err != nil {
 		return nil, err
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("serve: k must be >= 1, got %d", k)
-	}
-	if max := total - 1; k > max {
-		return nil, fmt.Errorf("serve: k=%d exceeds the %d other vertices", k, max)
-	}
-	useANN := false
-	switch mode {
-	case ModeAuto:
-		useANN = rt.opts.ANN
-	case ModeExact:
-	case ModeANN:
-		useANN = true
-	default:
-		return nil, fmt.Errorf("serve: unknown topk mode %q (want exact or ann)", mode)
-	}
-	if useANN {
-		if ef <= 0 {
-			ef = rt.opts.ANNEf
-		}
-		if ef < k {
-			ef = k
-		}
-		if ef >= total-1 || k >= total-1 {
-			useANN = false
-		}
-	}
-	if !useANN {
-		ef = 0
-	}
-
-	// Snapshot the down set once: the probe loop and the degraded flag
-	// must agree on which shards were skipped.
-	live := make([]bool, len(rt.engines))
-	anyDown := false
-	for i := range rt.engines {
-		live[i] = !rt.down[i].Load()
-		anyDown = anyDown || !live[i]
-	}
-
-	key := topkKey{version: st.Version, id: id, k: k, ann: useANN, ef: ef}
-	if !anyDown {
-		rt.cacheMu.Lock()
-		if hit, ok := rt.cache[key]; ok {
-			rt.cacheMu.Unlock()
-			return hit, nil
-		}
-		rt.cacheMu.Unlock()
-	}
-
-	nbs := make([][]Neighbor, len(rt.engines))
-	var wg sync.WaitGroup
-	errs := make([]error, len(rt.engines))
-	for s := range rt.engines {
-		if !live[s] {
-			continue
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			nbs[s], _, errs[s] = rt.engines[s].shardTopK(q, qn, id, k, useANN, ef)
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	owner := rt.sm.Assign(int32(id))
+	if owner != 0 {
+		if st, err = rt.engines[owner].Snapshot(); err != nil {
 			return nil, err
 		}
 	}
-	final := newTopKList(k)
-	for _, part := range nbs {
-		for _, nb := range part {
-			final.Offer(int32(nb.ID), nb.Score)
+	key, err := planTopK(st, id, k, mode, ef, rt.opts, st.total)
+	if err != nil {
+		return nil, err
+	}
+	// Snapshot the live set once: the probes and the degraded flag
+	// must agree on which shards were skipped.
+	live := make([]int, 0, len(rt.engines))
+	for i := range rt.engines {
+		if !rt.down[i].Load() {
+			live = append(live, i)
 		}
 	}
-	modeStr := ModeExact
-	if useANN {
-		modeStr = ModeANN
+	degraded := len(live) < len(rt.engines)
+	if !degraded {
+		if hit, ok := rt.cache.get(key); ok {
+			return hit, nil
+		}
 	}
-	if anyDown {
+	row, _ := st.rowOf(id)
+	q, qn := st.Emb.Row(row), st.norms[row]
+	// probe answers shard s, against the owner's own snapshot st when s
+	// is the owner, so an unsharded answer reads one snapshot only.
+	probe := func(s int) ([]ann.Candidate, error) {
+		sst := st
+		if s != owner {
+			var err error
+			if sst, err = rt.engines[s].Snapshot(); err != nil {
+				return nil, err
+			}
+		}
+		return rt.engines[s].shardTopK(sst, q, qn, key), nil
+	}
+	var cands []ann.Candidate
+	if len(live) == 1 {
+		cands, err = probe(live[0])
+	} else {
+		parts := make([][]ann.Candidate, len(live))
+		errs := make([]error, len(live))
+		var wg sync.WaitGroup
+		for i, s := range live {
+			wg.Add(1)
+			go func(i, s int) {
+				defer wg.Done()
+				parts[i], errs[i] = probe(s)
+			}(i, s)
+		}
+		wg.Wait()
+		for _, e := range errs {
+			if e != nil && err == nil {
+				err = e
+			}
+		}
+		cands = ann.Merge(key.k, parts...)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if degraded {
 		rt.degraded.Inc()
 	}
-	res := &TopKResult{
-		Version:      st.Version,
-		ModelVersion: st.ModelVersion,
-		ID:           id,
-		K:            k,
-		Mode:         modeStr,
-		Ef:           ef,
-		Degraded:     anyDown,
-		Neighbors:    final.items(),
-	}
-	if !anyDown {
-		rt.cacheMu.Lock()
-		if len(rt.cache) < rt.opts.TopKCache {
-			rt.cache[key] = res
-		}
-		rt.cacheMu.Unlock()
+	res := topkResult(st, key, cands, degraded)
+	if !degraded {
+		rt.cache.put(key, res)
 	}
 	return res, nil
 }
 
-// shardEndpoints enumerates the shard-operations routes a Router adds
-// on top of the per-model endpoints. Like perModelEndpoints, the
-// table is the single source both the handlers and the documented
-// route list derive from.
+// shardEndpoints enumerates the shard-operations routes a sharded
+// model adds on top of the per-model endpoints. Like
+// perModelEndpoints, the table is the single source both the handlers
+// and the documented route list derive from.
 var shardEndpoints = []RouteDoc{
 	{"GET", "/shards"},
 	{"POST", "/shards/{i}/stop"},
 	{"POST", "/shards/{i}/start"},
 }
 
-// ServeHTTP implements the single-server HTTP surface plus the shard
-// operations. Paths are hand-routed (the module targets pre-1.22
-// ServeMux, which has no wildcard patterns); every request runs under
-// the obs middleware, with shard-operation paths normalized to their
-// documented patterns so a shard index can never mint a label value.
+// ServeHTTP implements http.Handler. Paths are hand-routed (the module
+// targets pre-1.22 ServeMux, which has no wildcard patterns); every
+// request — known endpoint or not — runs under the obs middleware,
+// /v1 spellings share their alias's label, and shard-operation paths
+// normalize to their documented patterns so a shard index can never
+// mint a label value.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	endpoint, h := rt.route(stripV1(r.URL.Path))
 	rt.inst.serve(endpoint, h, w, r)
 }
 
 // route resolves a path to its handler and bounded endpoint label.
+// The shard routes exist only when the model is sharded.
 func (rt *Router) route(path string) (string, http.HandlerFunc) {
-	switch path {
-	case "/embed":
-		return "/embed", rt.handleEmbed
-	case "/predict":
-		return "/predict", rt.handlePredict
-	case "/topk":
-		return "/topk", rt.handleTopK
-	case "/healthz":
-		return "/healthz", rt.handleHealthz
-	case "/metrics":
-		return "/metrics", rt.handleMetrics
-	case "/reload":
-		return "/reload", rt.handleReload
-	case "/shards":
+	if h, ok := rt.routes[path]; ok {
+		return path, h
+	}
+	if len(rt.engines) == 1 {
+		return epOther, notFoundHandler
+	}
+	if path == "/shards" {
 		return "/shards", rt.handleShards
 	}
 	if rest, ok := strings.CutPrefix(path, "/shards/"); ok {
@@ -600,13 +630,15 @@ func (rt *Router) route(path string) (string, http.HandlerFunc) {
 	return epOther, notFoundHandler
 }
 
-// instruments exposes the router's obs middleware to the registry.
-func (rt *Router) instruments() *modelMetrics { return rt.inst }
-
-// handleMetrics serves the model-scoped Prometheus rows (including
-// the per-shard series, which carry this model's label).
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	rt.inst.handleMetrics(w, r)
+// annotate records what the request log carries for a query: the
+// scatter width on a sharded model, the micro-batch id on an
+// unsharded one.
+func (rt *Router) annotate(ctx context.Context, fanout int, batch uint64) {
+	if len(rt.engines) > 1 {
+		annotFanout(ctx, fanout)
+	} else {
+		annotBatch(ctx, batch)
+	}
 }
 
 func (rt *Router) handleEmbed(w http.ResponseWriter, r *http.Request) {
@@ -623,12 +655,12 @@ func (rt *Router) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := queryCtx(r, rt.opts.Deadline)
 	defer cancel()
-	res, n, err := rt.embed(ctx, ids)
+	res, n, batch, err := rt.embed(ctx, ids)
 	if err != nil {
 		writeQueryErr(w, r, err)
 		return
 	}
-	annotFanout(r.Context(), n)
+	rt.annotate(r.Context(), n, batch)
 	writeEmbedRes(w, r, res)
 }
 
@@ -646,12 +678,12 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := queryCtx(r, rt.opts.Deadline)
 	defer cancel()
-	res, n, err := rt.predict(ctx, ids)
+	res, n, batch, err := rt.predict(ctx, ids)
 	if err != nil {
 		writeQueryErr(w, r, err)
 		return
 	}
-	annotFanout(r.Context(), n)
+	rt.annotate(r.Context(), n, batch)
 	writePredictRes(w, r, res)
 }
 
@@ -678,11 +710,11 @@ func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request) {
 			live++
 		}
 	}
-	annotFanout(r.Context(), live)
+	rt.annotate(r.Context(), live, 0)
 	writeTopKRes(w, r, res)
 }
 
-// shardState is one shard's entry in GET /shards and the router's
+// shardState is one shard's entry in GET /shards and the sharded
 // /healthz shard detail.
 type shardState struct {
 	Shard    int    `json:"shard"`
@@ -713,8 +745,8 @@ func (rt *Router) shardStates() []shardState {
 	return out
 }
 
-// routerHealth is the sharded /healthz body: the single-server health
-// fields plus the fleet view. Status is "ok" (all shards serving),
+// routerHealth is the sharded /healthz body: the plain health fields
+// plus the fleet view. Status is "ok" (all shards serving),
 // "degraded" (some shard down or still loading while others serve) or
 // "loading" (nothing serving yet); the endpoint always answers HTTP
 // 200 — a down shard degrades the fleet, it does not kill it.
@@ -726,8 +758,8 @@ type routerHealth struct {
 	ShardDetail []shardState `json:"shard_detail"`
 }
 
-// health assembles the fleet's aggregate health in the single-server
-// body shape (the registry's /models listing embeds it verbatim).
+// health assembles the model's aggregate health in the plain body
+// shape (the registry's /models listing embeds it verbatim).
 func (rt *Router) health() healthBody {
 	body := healthBody{
 		Status:   "loading",
@@ -772,9 +804,6 @@ func (rt *Router) health() healthBody {
 		body.Status = "ok"
 	}
 	body.WarmStart = loaded > 0 && warmAll
-	// Aggregate the per-shard micro-batcher counts so the sharded
-	// health body reports the same batching fields a single-process
-	// deployment does (parity is test-enforced).
 	for _, b := range rt.bats {
 		bb, qq := b.Stats()
 		body.Batches += bb
@@ -786,16 +815,23 @@ func (rt *Router) health() healthBody {
 	return body
 }
 
+// modelInfo is the configuration summary a model reports for the
+// registry's status surface (everything health() doesn't cover).
+type modelInfo struct {
+	artifact   string
+	annDefault bool
+	index      string // "built" | "lazy" | "none"
+	shards     int    // 0 = unsharded
+}
+
 // modelInfo reports the registry-facing configuration summary.
 func (rt *Router) modelInfo() modelInfo {
 	rt.artMu.Lock()
 	base := rt.artBase
 	rt.artMu.Unlock()
-	info := modelInfo{
-		artifact:   base,
-		annDefault: rt.opts.ANN,
-		index:      "none",
-		shards:     len(rt.engines),
+	info := modelInfo{artifact: base, annDefault: rt.opts.ANN, index: "none"}
+	if len(rt.engines) > 1 {
+		info.shards = len(rt.engines)
 	}
 	built := true
 	loaded := 0
@@ -817,6 +853,10 @@ func (rt *Router) modelInfo() modelInfo {
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	if len(rt.engines) == 1 {
+		writeJSON(w, http.StatusOK, rt.health())
+		return
+	}
 	detail := rt.shardStates()
 	downCount := 0
 	for _, ss := range detail {
@@ -876,12 +916,13 @@ func (rt *Router) handleShardOp(w http.ResponseWriter, r *http.Request, rest str
 	writeJSON(w, http.StatusOK, rt.shardStates()[i])
 }
 
-// handleReload mirrors the single-server /reload contract on the
-// fleet: {"path": …} loads a new checkpoint, {"artifact": base}
-// retargets every shard's warm-start source to its ShardPath under
-// the new base ("" disables warm starts fleet-wide) before the load,
-// and a failed load rolls every retarget back — all-or-nothing, so
-// shard warm sources can never point at mixed bases.
+// handleReload serves POST /reload: {"path": …} loads a new checkpoint
+// (absent: re-read the last one), and {"artifact": base} retargets the
+// warm-start source — every shard's ShardPath under the new base, ""
+// disabling warm starts — for this and all later reloads, before the
+// load. A failed load rolls every retarget back, leaving every piece
+// of serving state (snapshot, checkpoint path, artifact sources)
+// exactly as it was.
 func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "serve: reload requires POST"})
@@ -897,6 +938,9 @@ func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// swapMu makes the retarget+load+rollback sequence atomic against
+	// other reloads, so a failing reload's rollback can never clobber a
+	// concurrent reload's freshly set source.
 	rt.swapMu.Lock()
 	defer rt.swapMu.Unlock()
 	restoreArtifact := func() {}
@@ -930,8 +974,9 @@ func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
 	}
-	// Aggregate the fleet's warm outcome: warm only when every shard
-	// warmed, with the first shard's note explaining a fallback.
+	// Answer from the snapshots the reload just installed, with their
+	// warm-start outcome: warm only when every shard warmed, the first
+	// shard's note explaining a fallback.
 	warm := true
 	note := ""
 	var mv uint64
@@ -954,8 +999,9 @@ func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// setArtifactBase retargets the fleet-wide artifact base: every shard
-// engine's warm-start source becomes its ShardPath under base.
+// setArtifactBase retargets the model's artifact base: every shard
+// engine's warm-start source becomes its ShardPath under base (the
+// base itself when unsharded).
 func (rt *Router) setArtifactBase(base string) {
 	rt.artMu.Lock()
 	rt.artBase = base

@@ -7,9 +7,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 
+	"gsgcn/internal/ann"
 	"gsgcn/internal/artifact"
 	"gsgcn/internal/core"
 	"gsgcn/internal/mat"
@@ -193,9 +195,9 @@ func TestRouterANNModes(t *testing.T) {
 // TestScatterMergeTies drives the scatter merge directly over a
 // synthetic table with heavy score ties (duplicated rows): at every
 // shard count the merged per-shard exact scans must equal the
-// whole-table scan entry for entry — the tkBefore total order breaks
-// every tie by id, independent of which shard offered the candidate
-// first.
+// sort-based whole-table reference (ann.ExactTopK) entry for entry —
+// the ann.Before total order breaks every tie by id, independent of
+// which shard offered the candidate first.
 func TestScatterMergeTies(t *testing.T) {
 	const n, dim = 64, 4
 	emb := mat.New(n, dim)
@@ -213,24 +215,22 @@ func TestScatterMergeTies(t *testing.T) {
 		}
 		norms[v] = math.Sqrt(s)
 	}
-	whole := &State{Emb: emb, norms: norms, total: n}
 	const id, k = 3, 12
 	q, qn := emb.Row(id), norms[id]
-	want := scanVec(whole, q, qn, id, k, 1)
+	want := ann.ExactTopK(emb, norms, q, qn, k, id)
 
 	for _, shards := range []int{1, 2, 3, 4, 7} {
 		sm := partition.ShardMap{Shards: shards, Seed: 5}
 		for _, workers := range []int{1, 3} {
-			final := newTopKList(k)
+			eng := &Engine{opts: Options{Workers: workers}}
+			parts := make([][]ann.Candidate, shards)
 			for s := 0; s < shards; s++ {
 				owned := sm.Owned(n, s)
 				sub, subNorms := compactRows(emb, norms, owned)
 				st := &State{Emb: sub, norms: subNorms, total: n, owned: owned}
-				for _, nb := range scanVec(st, q, qn, id, k, workers) {
-					final.Offer(int32(nb.ID), nb.Score)
-				}
+				parts[s] = eng.shardTopK(st, q, qn, topkKey{id: id, k: k})
 			}
-			got := final.items()
+			got := ann.Merge(k, parts...)
 			if len(got) != len(want) {
 				t.Fatalf("shards=%d workers=%d: %d neighbors, want %d", shards, workers, len(got), len(want))
 			}
@@ -402,7 +402,7 @@ func TestRouterWarmStart(t *testing.T) {
 	defer warm.Close()
 
 	for i := 0; i < shards; i++ {
-		st, err := warm.Engine(i).Snapshot()
+		st, err := warm.Shard(i).Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,7 +461,7 @@ func TestRouterShardArtifactMismatch(t *testing.T) {
 	rt := newTestRouter(t, swapOpts, shards, 1, ckpt)
 	defer rt.Close()
 	for i := 0; i < shards; i++ {
-		st, err := rt.Engine(i).Snapshot()
+		st, err := rt.Shard(i).Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -513,7 +513,7 @@ func TestRouterReloadEndpoint(t *testing.T) {
 		t.Errorf("reload version = %d, want 2", rb.Version)
 	}
 	for i := 0; i < rt.Shards(); i++ {
-		st, err := rt.Engine(i).Snapshot()
+		st, err := rt.Shard(i).Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -531,7 +531,7 @@ func TestRouterReloadEndpoint(t *testing.T) {
 	resp.Body.Close()
 	for i := 0; i < rt.Shards(); i++ {
 		want := artifact.ShardPath("/tmp/nope.art", i, rt.Shards())
-		if got := rt.Engine(i).ArtifactPath(); got != want {
+		if got := rt.Shard(i).ArtifactPath(); got != want {
 			t.Errorf("shard %d artifact = %q, want %q", i, got, want)
 		}
 	}
@@ -625,5 +625,143 @@ func TestRegistrySharded(t *testing.T) {
 	getJSON(t, ts.URL+"/models/plain/healthz", &plainStatus)
 	if plainStatus.Status != "ok" {
 		t.Errorf("plain status = %q after fleet shard stop", plainStatus.Status)
+	}
+}
+
+// TestBeforeLoadAnswers503AtEveryShardCount pins a deliberate surface
+// decision: before the first load, a query answers the unsharded 503
+// "no model loaded" ahead of any id range check, whatever the shard
+// count (a sharded fleet once answered 400 out-of-range here).
+func TestBeforeLoadAnswers503AtEveryShardCount(t *testing.T) {
+	ds := testDataset(t, false)
+	for _, shards := range []int{1, 2, 3} {
+		rt, err := NewRouter(ds, Options{Workers: 1}, shards, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, target := range []string{"/embed?ids=99999", "/predict?ids=0,99999", "/topk?id=99999&k=3"} {
+			rec := httptest.NewRecorder()
+			rt.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+			if rec.Code != http.StatusServiceUnavailable || rec.Body.String() != "{\"error\":\"serve: no model loaded\"}\n" {
+				t.Errorf("shards=%d %s before load = %d %q", shards, target, rec.Code, rec.Body)
+			}
+		}
+		rt.Close()
+	}
+}
+
+// TestUncleanPathsGetJSON404 pins the other deliberate surface
+// decision: an unclean spelling of an endpoint path is not redirected
+// to its clean form but answered with the JSON 404 envelope, like any
+// unknown path, at every shard count.
+func TestUncleanPathsGetJSON404(t *testing.T) {
+	ds := testDataset(t, false)
+	for _, shards := range []int{1, 2} {
+		rt, err := NewRouter(ds, Options{Workers: 1}, shards, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []string{"//embed", "/./embed", "/v1//topk"} {
+			rec := httptest.NewRecorder()
+			rt.ServeHTTP(rec, httptest.NewRequest("GET", path+"?ids=0", nil))
+			if rec.Code != http.StatusNotFound || rec.Header().Get("Content-Type") != "application/json" {
+				t.Errorf("shards=%d %s = %d %s %q", shards, path, rec.Code, rec.Header().Get("Content-Type"), rec.Body)
+			}
+			var body errorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error != fmt.Sprintf("serve: unknown endpoint %q", stripV1(path)) {
+				t.Errorf("shards=%d %s body = %q (%v)", shards, path, rec.Body, err)
+			}
+		}
+		rt.Close()
+	}
+}
+
+// TestTopKDropsNaNScores feeds a table with NaN and +Inf rows (the
+// shape a diverged checkpoint serves: NaN rows score 0, Inf rows score
+// NaN) through exact mode at every dtype and quantized ann mode, at 1
+// and 2 shards. No answer may carry a NaN score, exact answers must be
+// the finite rows in the reference order, and ann answers must rank
+// by ann.Before with every score the exact one.
+func TestTopKDropsNaNScores(t *testing.T) {
+	ds := testDataset(t, false)
+	m := testModel(t, ds, 2, "mean")
+	emb, norms := computeTables(m, ds, Options{Workers: 1}.withDefaults())
+	n := emb.Rows
+	for v := 0; v < n; v += 11 {
+		x := math.NaN()
+		if v%2 == 1 {
+			x = math.Inf(1)
+		}
+		row := emb.Row(v)
+		for j := range row {
+			row[j] = x
+		}
+		norms[v] = math.Sqrt(mat.Dot(row, row))
+	}
+	const k = 25
+	for _, q := range []int{1, 4, 150} {
+		// The reference: score every other row as the scans do, drop
+		// NaN scores, sort by (score desc, id asc).
+		var ref []Neighbor
+		exact := make(map[int]float64)
+		for v := 0; v < n; v++ {
+			score := 0.0
+			if d := norms[q] * norms[v]; d > 0 {
+				score = mat.Dot(emb.Row(q), emb.Row(v)) / d
+			}
+			if v != q && !math.IsNaN(score) {
+				ref = append(ref, Neighbor{ID: v, Score: score})
+				exact[v] = score
+			}
+		}
+		sort.Slice(ref, func(i, j int) bool {
+			return ann.Before(ref[i].Score, int32(ref[i].ID), ref[j].Score, int32(ref[j].ID))
+		})
+		for _, dt := range []mat.Dtype{mat.DtypeF64, mat.DtypeF32, mat.DtypeI8PQ} {
+			for _, shards := range []int{1, 2} {
+				rt, err := NewRouter(ds, Options{Workers: 2, Dtype: dt}, shards, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < shards; i++ {
+					if _, err := rt.Shard(i).InstallShared(m, func() (*mat.Dense, []float64) { return emb, norms }); err != nil {
+						t.Fatal(err)
+					}
+				}
+				res, err := rt.TopKWith(q, k, ModeExact, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, nb := range res.Neighbors {
+					if nb != ref[i] {
+						t.Fatalf("%s shards=%d q=%d exact rank %d = %+v, want %+v", dt, shards, q, i, nb, ref[i])
+					}
+				}
+				if len(res.Neighbors) != k {
+					t.Fatalf("%s shards=%d q=%d exact: %d neighbors, want %d", dt, shards, q, len(res.Neighbors), k)
+				}
+				if dt == mat.DtypeF64 {
+					rt.Close()
+					continue // the HNSW walk over NaN rows is out of scope
+				}
+				res, err = rt.TopKWith(q, k, ModeANN, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, nb := range res.Neighbors {
+					want, ok := exact[nb.ID]
+					if !ok || math.Float64bits(nb.Score) != math.Float64bits(want) {
+						t.Fatalf("%s shards=%d q=%d ann rank %d = %+v, want a finite exact score", dt, shards, q, i, nb)
+					}
+					if i > 0 {
+						prev := res.Neighbors[i-1]
+						if !ann.Before(prev.Score, int32(prev.ID), nb.Score, int32(nb.ID)) {
+							t.Fatalf("%s shards=%d q=%d ann ranks %d,%d out of order", dt, shards, q, i-1, i)
+						}
+					}
+				}
+				rt.Close()
+			}
+		}
 	}
 }

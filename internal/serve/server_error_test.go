@@ -116,15 +116,11 @@ func TestTopKDefaultKClampedToTinyGraph(t *testing.T) {
 		Name: "tiny", Vertices: 8, TargetEdges: 20,
 		FeatureDim: 4, NumClasses: 2, Seed: 3,
 	})
-	eng := NewEngine(ds, Options{Workers: 1})
+	srv := NewServer(ds, Options{Workers: 1, MaxBatch: 1})
 	m := core.NewModel(ds, core.Config{Layers: 2, Hidden: 4, Workers: 1, Seed: 17})
-	if _, err := eng.Install(m); err != nil {
+	if _, err := srv.Engine().Install(m); err != nil {
 		t.Fatal(err)
 	}
-	srv := &Server{eng: eng, bat: newBatcher(eng, 1)}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/topk", srv.handleTopK)
-	srv.mux = mux
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

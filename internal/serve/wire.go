@@ -15,9 +15,9 @@ import (
 
 // This file is the serving plane's binary-transport integration: the
 // HTTP content negotiation that lets any query endpoint answer with a
-// wire frame instead of JSON, the wire-native query paths on Server
-// and Router (same admission gate, deadline bound and micro-batcher as
-// the HTTP handlers), and the registry's persistent-connection TCP
+// wire frame instead of JSON, the wire-native query paths on Router
+// (same admission gate, deadline bound and micro-batcher as the HTTP
+// handlers), and the registry's persistent-connection TCP
 // listener. Both transports answer from identical result structs, so
 // a decoded wire answer is bit-identical to the JSON answer
 // (test-enforced in pkg/client).
@@ -138,59 +138,9 @@ func writeTopKRes(w http.ResponseWriter, r *http.Request, res *TopKResult) {
 
 // wireEmbed answers an embed request arriving over the binary
 // transport: the same admission gate, id-count validation, deadline
-// bound and micro-batcher the HTTP handler uses, minus the HTTP
-// surface parsing. Concurrent wire requests coalesce into micro-
-// batches exactly like concurrent HTTP requests.
-func (s *Server) wireEmbed(ctx context.Context, ids []int) (*EmbedResult, error) {
-	release, err := s.gate.admit()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if err := checkQueryIDs(ids); err != nil {
-		return nil, err
-	}
-	ctx, cancel := boundCtx(ctx, s.eng.opts.Deadline)
-	defer cancel()
-	res, _, err := s.bat.Embed(ctx, ids)
-	return res, err
-}
-
-// wirePredict is wireEmbed for predictions.
-func (s *Server) wirePredict(ctx context.Context, ids []int) (*PredictResult, error) {
-	release, err := s.gate.admit()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if err := checkQueryIDs(ids); err != nil {
-		return nil, err
-	}
-	ctx, cancel := boundCtx(ctx, s.eng.opts.Deadline)
-	defer cancel()
-	res, _, err := s.bat.Predict(ctx, ids)
-	return res, err
-}
-
-// wireTopK answers a top-K request arriving over the binary transport,
-// applying the same defaulting/validation rules as the HTTP query
-// parser (resolveTopK) so both transports reject identical requests
-// with identical error text.
-func (s *Server) wireTopK(q topkQuery, kSet bool) (*TopKResult, error) {
-	release, err := s.gate.admit()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	tq, err := resolveTopK(q, kSet, s.eng.ds.G.NumVertices(), s.eng.opts.ANN)
-	if err != nil {
-		return nil, err
-	}
-	return s.eng.TopKWith(tq.id, tq.k, tq.mode, tq.ef)
-}
-
-// wireEmbed scatters a wire embed request across the shard fleet —
-// the Router-side twin of Server.wireEmbed.
+// bound and routing the HTTP handler uses, minus the HTTP surface
+// parsing. Concurrent wire requests coalesce into micro-batches
+// exactly like concurrent HTTP requests.
 func (rt *Router) wireEmbed(ctx context.Context, ids []int) (*EmbedResult, error) {
 	release, err := rt.gate.admit()
 	if err != nil {
@@ -202,11 +152,11 @@ func (rt *Router) wireEmbed(ctx context.Context, ids []int) (*EmbedResult, error
 	}
 	ctx, cancel := boundCtx(ctx, rt.opts.Deadline)
 	defer cancel()
-	res, _, err := rt.embed(ctx, ids)
+	res, _, _, err := rt.embed(ctx, ids)
 	return res, err
 }
 
-// wirePredict is the Router-side twin of Server.wirePredict.
+// wirePredict is wireEmbed for predictions.
 func (rt *Router) wirePredict(ctx context.Context, ids []int) (*PredictResult, error) {
 	release, err := rt.gate.admit()
 	if err != nil {
@@ -218,11 +168,14 @@ func (rt *Router) wirePredict(ctx context.Context, ids []int) (*PredictResult, e
 	}
 	ctx, cancel := boundCtx(ctx, rt.opts.Deadline)
 	defer cancel()
-	res, _, err := rt.predict(ctx, ids)
+	res, _, _, err := rt.predict(ctx, ids)
 	return res, err
 }
 
-// wireTopK is the Router-side twin of Server.wireTopK.
+// wireTopK answers a top-K request arriving over the binary transport,
+// applying the same defaulting/validation rules as the HTTP query
+// parser (resolveTopK) so both transports reject identical requests
+// with identical error text.
 func (rt *Router) wireTopK(q topkQuery, kSet bool) (*TopKResult, error) {
 	release, err := rt.gate.admit()
 	if err != nil {
@@ -323,7 +276,7 @@ func (r *Registry) answerWire(ctx context.Context, msg wire.Message) wire.Messag
 		r.inst.countWire()
 		return errResp
 	}
-	srv.instruments().countWire()
+	srv.inst.countWire()
 	switch m := msg.(type) {
 	case *wire.EmbedRequest:
 		res, err := srv.wireEmbed(ctx, m.IDs)
@@ -356,7 +309,7 @@ func (r *Registry) answerWire(ctx context.Context, msg wire.Message) wire.Messag
 // wireModel resolves a request frame's model name exactly as HTTP
 // dispatch does: empty addresses the default model, with the same
 // error statuses and messages for unknown names and an empty registry.
-func (r *Registry) wireModel(name string) (ModelServer, *wire.ErrorResponse) {
+func (r *Registry) wireModel(name string) (*Router, *wire.ErrorResponse) {
 	if name == "" {
 		def := r.Default()
 		if def == "" {
