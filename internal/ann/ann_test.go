@@ -1,7 +1,6 @@
 package ann
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -228,7 +227,7 @@ func TestIndexStructure(t *testing.T) {
 // tie-heavy streams, k=0/1 bounds, capacity above and at the stream
 // length, all-equal scores, NaN offers, ascending and descending
 // streams — and checks it keeps exactly the k best non-NaN offers,
-// best first, in either offer order.
+// best first, in either offer order, one subtest per case.
 func TestHeapTotalOrder(t *testing.T) {
 	r := rng.New(3)
 	var items []Candidate
@@ -284,18 +283,10 @@ func TestHeapTotalOrder(t *testing.T) {
 		{"ascending", 5, seq(50, ident)},
 		{"descending", 5, seq(50, func(i int) float64 { return -float64(i) })},
 	}
-	rs := rng.New(77)
-	for trial := 0; trial < 30; trial++ {
-		k := 1 + rs.Intn(20)
-		cases = append(cases, struct {
-			name   string
-			k      int
-			stream []Candidate
-		}{fmt.Sprintf("random %d", trial), k, seq(1+rs.Intn(400), func(int) float64 { return float64(rs.Intn(10)) / 10 })})
-	}
-	for _, c := range cases {
+	check := func(t *testing.T, k int, stream []Candidate) {
+		t.Helper()
 		var want []Candidate
-		for _, x := range c.stream {
+		for _, x := range stream {
 			if !math.IsNaN(x.Score) {
 				want = append(want, x)
 			}
@@ -303,22 +294,32 @@ func TestHeapTotalOrder(t *testing.T) {
 		sort.Slice(want, func(i, j int) bool {
 			return Before(want[i].Score, want[i].ID, want[j].Score, want[j].ID)
 		})
-		want = want[:min(c.k, len(want))]
-		reversed := make([]Candidate, len(c.stream))
-		for i, x := range c.stream {
-			reversed[len(c.stream)-1-i] = x
+		want = want[:min(k, len(want))]
+		reversed := make([]Candidate, len(stream))
+		for i, x := range stream {
+			reversed[len(stream)-1-i] = x
 		}
-		for _, got := range [][]Candidate{Merge(c.k, c.stream), Merge(c.k, reversed)} {
+		for _, got := range [][]Candidate{Merge(k, stream), Merge(k, reversed)} {
 			if len(got) != len(want) {
-				t.Fatalf("%s: kept %d, want %d", c.name, len(got), len(want))
+				t.Fatalf("k=%d: kept %d, want %d", k, len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("%s: rank %d = %+v, want %+v", c.name, i, got[i], want[i])
+					t.Fatalf("k=%d: rank %d = %+v, want %+v", k, i, got[i], want[i])
 				}
 			}
 		}
 	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { check(t, c.k, c.stream) })
+	}
+	t.Run("random streams", func(t *testing.T) {
+		rs := rng.New(77)
+		for trial := 0; trial < 30; trial++ {
+			k := 1 + rs.Intn(20)
+			check(t, k, seq(1+rs.Intn(400), func(int) float64 { return float64(rs.Intn(10)) / 10 }))
+		}
+	})
 }
 
 // TestEmptyAndTiny covers degenerate tables.
